@@ -95,7 +95,7 @@ def ls_estimate(problem):
 
 def regularized_estimate(problem, w_beta=None, kappa=0.0):
     """Regularized solution: solve (A^T W A + kappa W_beta) beta = A^T W y."""
-    if kappa < 0:
+    if not kappa >= 0:
         raise DomainError(f"kappa must be nonnegative, got {kappa}")
     if w_beta is None:
         w_beta = np.eye(problem.t)

@@ -12,17 +12,26 @@ Sigma = sigma2 * E, where
 
 is the cofactor matrix of the predicted residuals r = y - A mu. Every
 selection objective is assembled from the quadratic form r^T E^-1 r and
-ln det E, so those two quantities get a dedicated operator type with two
-interchangeable computation paths:
+ln det E.
 
-``dense``
-    factor E itself (n x n); the default for n <= 64.
-``lowrank``
-    never forms E: the matrix inversion lemma gives
-    E^-1 = W - W A (A^T W A + kappa W_beta)^-1 A^T W and the determinant
-    lemma gives
-    ln det E = ln det(W_beta + A^T W A / kappa) - ln det W - ln det W_beta,
-    both needing only t x t factorizations.
+Both come from one decomposition per workspace, the SVD filter-factor
+form of Hansen's Regularization Tools. Factor W = L_W L_W^T and
+W_beta = L_b L_b^T and take the thin SVD of the whitened design
+
+    L_W^T A L_b^-T = U diag(s) V^T,
+
+so that E = L_W^-T (I + U diag(s^2 / kappa) U^T) L_W^-1. With
+z = L_W^T r and c = U^T z:
+
+    r^T E^-1 r    = |z - U c|^2 + sum kappa c_i^2 / (s_i^2 + kappa)
+    ln det E      = sum log1p(s_i^2 / kappa) - ln det W
+    tr(E^-1 W^-1) = (n - t) + sum kappa / (s_i^2 + kappa)
+    E^-1 r        = L_W (z - U (s^2 / (s^2 + kappa) * c))
+
+No kappa needs a factorization, and once a residual is projected each
+kappa costs O(t). |z - U c|^2 is the squared norm of the explicit
+difference, never |z|^2 - |c|^2, which cancels catastrophically when r
+lies almost in the range of A.
 
 All objectives drop the constant -(n/2) ln(2 pi) normalization term; the
 full log density is available from log_marginal_density.
@@ -30,21 +39,25 @@ full log density is available from log_marginal_density.
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
+from scipy.linalg import blas
 
 from . import serialize
-from ._linalg import spd_factor, spd_logdet, spd_solve, symmetrize
-from .errors import DegenerateProblemError, DomainError
+from ._linalg import lower_cholesky, spd_factor, spd_logdet, spd_solve, symmetrize
+from .errors import DegenerateProblemError, DomainError, FactorizationError
 
 __all__ = [
-    "DENSE_PATH_MAX_N",
     "ObjectiveCase",
     "ObjectiveValue",
     "MarginalOperators",
     "MarginalWorkspace",
+    "MarginalObjective",
     "SweepRow",
+    "kappa_grid",
     "marginal_covariance",
     "build_cofactor",
     "log_marginal_density",
@@ -60,11 +73,6 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-# Largest n for which the auto path factors E directly (square designs
-# only; whenever t < n the reduced route is both cheaper and better
-# conditioned, so auto always prefers it there).
-DENSE_PATH_MAX_N = 64
 
 
 class ObjectiveCase(enum.Enum):
@@ -94,127 +102,168 @@ class ObjectiveValue:
 class MarginalOperators:
     """Quadratic-form and determinant handles for E at a fixed kappa."""
 
-    def __init__(self, workspace, kappa, path):
+    def __init__(self, workspace, kappa):
         self._ws = workspace
         self.kappa = float(kappa)
-        self.path = path
         self.n = workspace.n
         self.t = workspace.t
-        self._matrix = None
-        if path == "dense":
-            w_inv, prior_gram = workspace.dense_pieces()
-            self._matrix = symmetrize(w_inv + prior_gram / self.kappa)
-            self._factor = spd_factor(self._matrix, "cofactor matrix")
-            self.logdet = spd_logdet(self._factor)
-        else:
-            # M = W_beta + A^T W A / kappa carries everything the lemmas need.
-            m = symmetrize(workspace.w_beta + workspace.normal / self.kappa)
-            self._m_factor = spd_factor(m, "reduced cofactor matrix")
-            self.logdet = spd_logdet(self._m_factor) - workspace.logdet_w - workspace.logdet_wbeta
-
-    @property
-    def matrix(self):
-        """Dense E = W^-1 + A W_beta^-1 A^T / kappa (built lazily)."""
-        if self._matrix is None:
-            w_inv, prior_gram = self._ws.dense_pieces()
-            self._matrix = symmetrize(w_inv + prior_gram / self.kappa)
-        return self._matrix
-
-    def covariance(self, sigma2):
-        """Marginal covariance sigma2 * E for kappa = sigma2/sigma_beta2."""
-        return sigma2 * self.matrix
+        # kappa / (s^2 + kappa): the share of each singular direction E^-1 keeps
+        self._damping = self.kappa / (workspace.s2 + self.kappa)
+        self.logdet = float(np.sum(np.log1p(workspace.s2 / self.kappa))) - workspace.logdet_w
 
     def solve(self, rhs):
         """E^-1 rhs for a vector or a matrix of column vectors."""
-        rhs = np.asarray(rhs, dtype=float)
-        if self.path == "dense":
-            return spd_solve(self._factor, rhs)
         ws = self._ws
-        w_rhs = ws.problem.w @ rhs
-        reduced = spd_solve(self._m_factor, ws.problem.a_matrix.T @ w_rhs)
-        return w_rhs - ws.problem.w @ (ws.problem.a_matrix @ reduced) / self.kappa
+        z = ws.w_lower.T @ np.asarray(rhs, dtype=float)
+        coef = ws.u.T @ z
+        filt = ws.s2 / (ws.s2 + self.kappa)
+        filtered = filt * coef if coef.ndim == 1 else filt[:, None] * coef
+        return ws.w_lower @ (z - ws.u @ filtered)
 
     def quad_form(self, residual):
         """r^T E^-1 r; columns are handled independently for a matrix input."""
-        residual = np.asarray(residual, dtype=float)
-        if self.path == "dense":
-            solved = spd_solve(self._factor, residual)
-            if residual.ndim == 1:
-                return float(residual @ solved)
-            return np.einsum("ij,ij->j", residual, solved)
-        ws = self._ws
-        w_res = ws.problem.w @ residual
-        gram_res = ws.problem.a_matrix.T @ w_res
-        reduced = spd_solve(self._m_factor, gram_res)
-        if residual.ndim == 1:
-            return float(residual @ w_res - gram_res @ reduced / self.kappa)
-        return (
-            np.einsum("ij,ij->j", residual, w_res)
-            - np.einsum("ij,ij->j", gram_res, reduced) / self.kappa
-        )
+        return self.projected_quad(*self._ws.project(residual))
+
+    def projected_quad(self, perp, coef):
+        """r^T E^-1 r from the pair ``workspace.project(r)`` returns."""
+        if coef.ndim == 1:
+            return perp + float(self._damping @ (coef * coef))
+        return perp + np.einsum("i,ij,ij->j", self._damping, coef, coef)
 
     def expected_noise_quad(self):
         """tr(E^-1 W^-1): E[r^T E^-1 r]/sigma2 under r ~ N(0, W^-1 sigma2)."""
-        ws = self._ws
-        if self.path == "dense":
-            w_inv, _ = ws.dense_pieces()
-            return float(np.trace(spd_solve(self._factor, w_inv)))
-        return self.n - float(np.trace(spd_solve(self._m_factor, ws.normal))) / self.kappa
+        return (self.n - self.t) + float(np.sum(self._damping))
 
 
 class MarginalWorkspace:
-    """Kappa-independent factorizations shared across objective evaluations.
+    """Kappa-independent decomposition shared across objective evaluations.
 
-    Holds the factored W and W_beta, the normal matrix A^T W A, and (for
-    the dense path, lazily) W^-1 and A W_beta^-1 A^T. Nothing that
-    depends on kappa is cached here.
+    Holds the lower Cholesky factor L_W of W, ln det W, and the left
+    singular vectors U and squared singular values s^2 of the whitened
+    design L_W^T A L_b^-T. Nothing that depends on kappa is cached here.
     """
 
     def __init__(self, problem, w_beta=None):
         self.problem = problem
         self.n = problem.n
         self.t = problem.t
-        self.w_beta = np.eye(self.t) if w_beta is None else np.asarray(w_beta, dtype=float)
-        if self.w_beta.shape != (self.t, self.t):
-            raise DomainError(
-                f"w_beta has shape {self.w_beta.shape}, expected ({self.t}, {self.t})"
-            )
-        self.w_factor = spd_factor(problem.w, "w")
-        self.wbeta_factor = spd_factor(self.w_beta, "w_beta")
-        self.logdet_w = spd_logdet(self.w_factor)
-        self.logdet_wbeta = spd_logdet(self.wbeta_factor)
-        wa = problem.w @ problem.a_matrix
-        self.normal = symmetrize(problem.a_matrix.T @ wa)
-        self._w_inv = None
-        self._prior_gram = None
+        w_beta = np.eye(self.t) if w_beta is None else np.asarray(w_beta, dtype=float)
+        if w_beta.shape != (self.t, self.t):
+            raise DomainError(f"w_beta has shape {w_beta.shape}, expected ({self.t}, {self.t})")
+        self.w_lower = lower_cholesky(problem.w, "w")
+        self.logdet_w = 2.0 * float(np.sum(np.log(np.diag(self.w_lower))))
+        wbeta_lower = lower_cholesky(w_beta, "w_beta")
+        whitened = la.solve_triangular(
+            wbeta_lower, (self.w_lower.T @ problem.a_matrix).T, lower=True, check_finite=False
+        ).T
+        try:
+            u, s, _ = la.svd(whitened, full_matrices=False, check_finite=False)
+        except la.LinAlgError as exc:
+            raise FactorizationError(f"SVD of the whitened design failed: {exc}") from exc
+        # Fortran order lets project() pass U to BLAS without a copy
+        self.u = np.asfortranarray(u)
+        self.s2 = s * s
 
-    def dense_pieces(self):
-        if self._w_inv is None:
-            self._w_inv = symmetrize(spd_solve(self.w_factor, np.eye(self.n)))
-            self._prior_gram = symmetrize(
-                self.problem.a_matrix @ spd_solve(self.wbeta_factor, self.problem.a_matrix.T)
-            )
-        return self._w_inv, self._prior_gram
-
-    def operators(self, kappa, path="auto"):
+    def operators(self, kappa):
         if not kappa > 0:
             raise DomainError(f"kappa must be positive, got {kappa}")
-        if path == "auto":
-            # The reduced route wins whenever t < n: one t x t factor per
-            # kappa instead of n x n, and its quadratic form stays accurate
-            # down to extreme kappa where the assembled E is ill conditioned.
-            path = "dense" if (self.t == self.n and self.n <= DENSE_PATH_MAX_N) else "lowrank"
-        if path not in ("dense", "lowrank"):
-            raise DomainError(f"unknown computation path {path!r}")
-        return MarginalOperators(self, kappa, path)
+        return MarginalOperators(self, kappa)
 
     def residual(self, prior):
         return self.problem.y - self.problem.a_matrix @ prior.mu
 
+    def project(self, residual):
+        """(|z - U c|^2, c) for z = L_W^T r and c = U^T z.
 
-def build_cofactor(problem, w_beta=None, kappa=1.0, path="auto"):
+        For a matrix of residual columns both parts hold one entry per
+        column.
+        """
+        z = self.w_lower.T @ np.asarray(residual, dtype=float)
+        coef = self.u.T @ z
+        if z.ndim == 1:
+            z -= self.u @ coef
+            return float(z @ z), coef
+        # z^T -= c^T U^T in place; forming U c apart would hold a second n x R block
+        perp = blas.dgemm(-1.0, coef.T, self.u, beta=1.0, c=z.T, trans_b=True, overwrite_c=True)
+        return np.einsum("ij,ij->i", perp, perp), coef
+
+
+def _case_tag(prior, case1):
+    zero_mean = not np.any(prior.mu)
+    if case1:
+        return ObjectiveCase.CASE1_ZERO_MEAN if zero_mean else ObjectiveCase.CASE1
+    return ObjectiveCase.CASE2_ZERO_MEAN if zero_mean else ObjectiveCase.CASE2
+
+
+class MarginalObjective:
+    """The Case-1 or Case-2 objective of one residual, as a function of kappa.
+
+    Without ``sigma2`` (Case 1, both variances unknown) a call returns
+    n ln(r^T E^-1 r) + ln det E; minimizing it and reading the variance
+    off r^T E^-1 r / n is the both-variances-unknown selection rule.
+    With a known ``sigma2`` (Case 2) it returns
+    r^T E^-1 r / sigma2 + ln det E. The residual r = y - A mu is
+    projected once, so each call costs O(t).
+    """
+
+    def __init__(self, workspace, prior, sigma2=None):
+        if sigma2 is not None and not sigma2 > 0:
+            raise DomainError(f"sigma2 must be positive, got {sigma2}")
+        self.workspace = workspace
+        self.sigma2 = None if sigma2 is None else float(sigma2)
+        self.case_tag = _case_tag(prior, case1=sigma2 is None)
+        residual = workspace.residual(prior)
+        self._scale = 1.0
+        if sigma2 is None:
+            # Case 1 sees the scale of r only through 2n ln|r|: taking the
+            # quadratic form of r/|r| keeps it inside the float range
+            self._scale = float(la.norm(residual))
+            if self._scale == 0.0:
+                raise DegenerateProblemError(
+                    "y equals A mu exactly; the Case-1 objective takes log of zero"
+                )
+            residual = residual / self._scale
+        self._projection = workspace.project(residual)
+
+    def __call__(self, kappa):
+        ops = self.workspace.operators(kappa)
+        quad = ops.projected_quad(*self._projection)
+        if self.sigma2 is None:
+            # quad underflows to 0 only for kappa near the smallest float
+            total = math.inf
+            if quad > 0.0:
+                log_quad = math.log(quad) + 2.0 * math.log(self._scale)
+                total = self.workspace.n * log_quad + ops.logdet
+            quad = quad * self._scale * self._scale
+        else:
+            total = quad / self.sigma2 + ops.logdet
+        return ObjectiveValue(total, quad, ops.logdet, ops.kappa, self.case_tag, self.sigma2)
+
+
+def kappa_grid(log10_bracket, points):
+    """Log-uniform grid over a log10 kappa bracket: (log10 values, kappas).
+
+    Each kappa is 10.0 ** g for its grid value g. Both bracket ends must
+    lie in the normal floating-point range, so that 10 ** x neither
+    overflows nor underflows.
+    """
+    lo, hi = float(log10_bracket[0]), float(log10_bracket[1])
+    if not lo < hi:
+        raise DomainError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
+    lowest, highest = sys.float_info.min_10_exp, sys.float_info.max_10_exp
+    if lo < lowest or hi > highest:
+        raise DomainError(
+            f"bracket ({lo}, {hi}) leaves the floating-point range [{lowest}, {highest}]"
+        )
+    if points < 2:
+        raise DomainError(f"need at least 2 grid points, got {points}")
+    logs = np.linspace(lo, hi, points)
+    return logs, [10.0 ** float(g) for g in logs]
+
+
+def build_cofactor(problem, w_beta=None, kappa=1.0):
     """Operators for E = W^-1 + A W_beta^-1 A^T / kappa at one kappa."""
-    return MarginalWorkspace(problem, w_beta).operators(kappa, path)
+    return MarginalWorkspace(problem, w_beta).operators(kappa)
 
 
 def marginal_covariance(problem, prior, sigma2, sigma_beta2):
@@ -235,23 +284,17 @@ def marginal_covariance(problem, prior, sigma2, sigma_beta2):
     return symmetrize(w_inv * sigma2 + prior_gram * sigma_beta2)
 
 
-def log_marginal_density(problem, prior, sigma2, sigma_beta2, path="auto"):
+def log_marginal_density(problem, prior, sigma2, sigma_beta2):
     """Gaussian log density of y after integrating beta out.
 
     Equals -(n/2) ln(2 pi) - (1/2) ln det Sigma - (1/2) r^T Sigma^-1 r
     with r = y - A mu, evaluated through the kappa-scaled cofactor so
     large n stays affordable.
     """
-    if not sigma2 > 0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
     if not sigma_beta2 > 0:
         raise DomainError(f"sigma_beta2 must be positive, got {sigma_beta2}")
-    workspace = MarginalWorkspace(problem, prior.w_beta)
-    ops = workspace.operators(sigma2 / sigma_beta2, path)
-    residual = workspace.residual(prior)
-    logdet_sigma = problem.n * math.log(sigma2) + ops.logdet
-    quad_sigma = ops.quad_form(residual) / sigma2
-    return -0.5 * problem.n * LOG_2PI - 0.5 * logdet_sigma - 0.5 * quad_sigma
+    kappa = sigma2 / sigma_beta2
+    return -0.5 * problem.n * LOG_2PI - 0.5 * neg_log_lik_kappa(problem, prior, sigma2, kappa)
 
 
 def neg_log_lik_variances(problem, prior, sigma2, sigma_beta2):
@@ -266,45 +309,29 @@ def neg_log_lik_variances(problem, prior, sigma2, sigma_beta2):
     return spd_logdet(factor) + float(residual @ spd_solve(factor, residual))
 
 
-def neg_log_lik_kappa(problem, prior, sigma2, kappa, path="auto"):
+def neg_log_lik_kappa(problem, prior, sigma2, kappa):
     """n ln sigma2 + ln det E + r^T E^-1 r / sigma2 (the kappa frame)."""
-    if not sigma2 > 0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
+    case2 = abic_case2(problem, prior, sigma2, kappa)
+    return problem.n * math.log(sigma2) + case2.total
+
+
+def split_terms(problem, prior, kappa):
+    """The raw (quadratic form, log determinant) pair both cases share."""
     workspace = MarginalWorkspace(problem, prior.w_beta)
-    ops = workspace.operators(kappa, path)
-    residual = workspace.residual(prior)
-    return (
-        problem.n * math.log(sigma2)
-        + ops.logdet
-        + ops.quad_form(residual) / sigma2
-    )
+    ops = workspace.operators(kappa)
+    return ops.quad_form(workspace.residual(prior)), ops.logdet
 
 
-def sigma2_hat(problem, prior, kappa, path="auto"):
+def sigma2_hat(problem, prior, kappa):
     """Variance estimate at fixed kappa: r^T E^-1 r / n.
 
     With a zero prior mean this is the measurement-only variant whose
     bias the bias module quantifies.
     """
-    workspace = MarginalWorkspace(problem, prior.w_beta)
-    ops = workspace.operators(kappa, path)
-    return ops.quad_form(workspace.residual(prior)) / problem.n
+    return split_terms(problem, prior, kappa)[0] / problem.n
 
 
-def _case_tag(prior, case1):
-    zero_mean = not np.any(prior.mu)
-    if case1:
-        return ObjectiveCase.CASE1_ZERO_MEAN if zero_mean else ObjectiveCase.CASE1
-    return ObjectiveCase.CASE2_ZERO_MEAN if zero_mean else ObjectiveCase.CASE2
-
-
-def _split(problem, prior, kappa, path):
-    workspace = MarginalWorkspace(problem, prior.w_beta)
-    ops = workspace.operators(kappa, path)
-    return ops.quad_form(workspace.residual(prior)), ops.logdet
-
-
-def abic_case1(problem, prior, kappa, path="auto"):
+def abic_case1(problem, prior, kappa):
     """Concentrated objective n ln(r^T E^-1 r) + ln det E.
 
     Minimizing this over kappa and then reading the variance off
@@ -312,29 +339,12 @@ def abic_case1(problem, prior, kappa, path="auto"):
     unconcentrated objective relates by
     neg_log_lik_kappa(sigma2_hat(kappa), kappa) = total + n - n ln n.
     """
-    quad, logdet = _split(problem, prior, kappa, path)
-    if quad <= 0.0:
-        raise DegenerateProblemError(
-            "y equals A mu exactly; the Case-1 objective takes log of zero"
-        )
-    total = problem.n * math.log(quad) + logdet
-    return ObjectiveValue(total, quad, logdet, float(kappa), _case_tag(prior, case1=True))
+    return MarginalObjective(MarginalWorkspace(problem, prior.w_beta), prior)(kappa)
 
 
-def abic_case2(problem, prior, sigma2, kappa, path="auto"):
+def abic_case2(problem, prior, sigma2, kappa):
     """Known-sigma2 objective r^T E^-1 r / sigma2 + ln det E."""
-    if not sigma2 > 0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
-    quad, logdet = _split(problem, prior, kappa, path)
-    total = quad / sigma2 + logdet
-    return ObjectiveValue(
-        total, quad, logdet, float(kappa), _case_tag(prior, case1=False), sigma2=float(sigma2)
-    )
-
-
-def split_terms(problem, prior, kappa, path="auto"):
-    """The raw (quadratic form, log determinant) pair both cases share."""
-    return _split(problem, prior, kappa, path)
+    return MarginalObjective(MarginalWorkspace(problem, prior.w_beta), prior, sigma2)(kappa)
 
 
 @dataclass(frozen=True)
@@ -356,38 +366,23 @@ def sweep_objective(
     sigma2=None,
     log10_bracket=(-12.0, 12.0),
     points=97,
-    path="auto",
 ):
     """Evaluate one ABIC objective on a log-uniform kappa grid.
 
     Returns one SweepRow per grid point; the trace behind the
     monotonicity diagnostics and the sweep CSV.
     """
-    lo, hi = float(log10_bracket[0]), float(log10_bracket[1])
-    if not lo < hi:
-        raise DomainError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
-    if points < 2:
-        raise DomainError(f"need at least 2 grid points, got {points}")
+    _, kappas = kappa_grid(log10_bracket, points)
     if case == 2 and sigma2 is None:
         raise DomainError("case 2 requires a known sigma2")
     workspace = MarginalWorkspace(problem, prior.w_beta)
-    residual = workspace.residual(prior)
-    tag = _case_tag(prior, case1=(case == 1)).value
+    objective = MarginalObjective(workspace, prior, sigma2 if case == 2 else None)
     rows = []
-    for log_kappa in np.linspace(lo, hi, points):
-        kappa = 10.0 ** float(log_kappa)
-        ops = workspace.operators(kappa, path)
-        quad = ops.quad_form(residual)
-        logdet = ops.logdet
-        if case == 1:
-            if quad <= 0.0:
-                raise DegenerateProblemError(
-                    "y equals A mu exactly; the Case-1 objective takes log of zero"
-                )
-            objective = problem.n * math.log(quad) + logdet
-        else:
-            objective = quad / sigma2 + logdet
-        rows.append(SweepRow(kappa, quad, logdet, objective, tag))
+    for kappa in kappas:
+        value = objective(kappa)
+        rows.append(
+            SweepRow(kappa, value.quad_term, value.logdet_term, value.total, value.case_tag.value)
+        )
     return rows
 
 

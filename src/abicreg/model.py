@@ -40,6 +40,12 @@ __all__ = [
 RANK_TOL_FACTOR = 1e3
 
 
+def _finite(arr, name):
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} has non-finite entries")
+    return arr
+
+
 def _as_vector(value, name, length=None):
     try:
         arr = np.asarray(value, dtype=float)
@@ -49,7 +55,7 @@ def _as_vector(value, name, length=None):
         raise DimensionError(f"{name} must be a 1-d vector, got shape {arr.shape}")
     if length is not None and arr.shape[0] != length:
         raise DimensionError(f"{name} has length {arr.shape[0]}, expected {length}")
-    return arr
+    return _finite(arr, name)
 
 
 def _as_square(value, name, size=None):
@@ -61,7 +67,7 @@ def _as_square(value, name, size=None):
         raise DimensionError(f"{name} must be a square matrix, got shape {arr.shape}")
     if size is not None and arr.shape[0] != size:
         raise DimensionError(f"{name} has shape {arr.shape}, expected ({size}, {size})")
-    return arr
+    return _finite(arr, name)
 
 
 def _freeze(arr):
@@ -82,7 +88,7 @@ def _as_design(value):
         raise DimensionError(f"a_matrix must be nonempty, got shape {a.shape}")
     if n < t:
         raise DimensionError(f"need at least as many rows as columns, got shape {a.shape}")
-    return a
+    return _finite(a, "a_matrix")
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .errors import DegenerateProblemError, DomainError, EvaluationError, FactorizationError
-from .marginal import MarginalWorkspace, ObjectiveCase
+from .errors import DomainError, EvaluationError
+from .marginal import MarginalObjective, MarginalWorkspace, ObjectiveCase, kappa_grid
 
 __all__ = [
     "GRID_POINTS",
@@ -110,14 +108,10 @@ def minimize_scalar(objective, log10_bracket=DEFAULT_BRACKET, rel_tol=DEFAULT_RE
     Raises EvaluationError when the objective is non-finite on more than
     half of the grid.
     """
-    lo, hi = float(log10_bracket[0]), float(log10_bracket[1])
-    if not lo < hi:
-        raise DomainError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
+    grid, kappas = kappa_grid(log10_bracket, GRID_POINTS)
     if not rel_tol > 0:
         raise DomainError(f"rel_tol must be positive, got {rel_tol}")
 
-    grid = np.linspace(lo, hi, GRID_POINTS)
-    kappas = [10.0 ** float(g) for g in grid]
     values = [_as_finite(objective(kappa)) for kappa in kappas]
     bad = sum(1 for v in values if not math.isfinite(v))
     if 2 * bad > GRID_POINTS:
@@ -162,31 +156,11 @@ def minimize_scalar(objective, log10_bracket=DEFAULT_BRACKET, rel_tol=DEFAULT_RE
     return ScalarMinimum(10.0 ** best_log, BoundaryFlag.INTERIOR, trace, best_val)
 
 
-def _case_tag(prior, case1):
-    zero_mean = not np.any(prior.mu)
-    if case1:
-        return ObjectiveCase.CASE1_ZERO_MEAN if zero_mean else ObjectiveCase.CASE1
-    return ObjectiveCase.CASE2_ZERO_MEAN if zero_mean else ObjectiveCase.CASE2
-
-
-def _guarded(evaluate):
-    """Turn factorization failures at extreme kappa into +inf samples."""
-
-    def wrapped(kappa):
-        try:
-            return evaluate(kappa)
-        except FactorizationError:
-            return math.inf
-
-    return wrapped
-
-
 def select_case1(
     problem,
     prior,
     log10_bracket=DEFAULT_BRACKET,
     rel_tol=DEFAULT_REL_TOL,
-    path="auto",
 ):
     """Both variances unknown: minimize the concentrated objective.
 
@@ -194,24 +168,9 @@ def select_case1(
     variance estimates at the minimum: sigma2_hat = r^T E^-1 r / n and
     sigma_beta2_hat = sigma2_hat / kappa_hat.
     """
-    workspace = MarginalWorkspace(problem, prior.w_beta)
-    residual = workspace.residual(prior)
-    if not np.any(residual):
-        raise DegenerateProblemError(
-            "y equals A mu exactly; the Case-1 objective takes log of zero"
-        )
-    n = problem.n
-
-    def evaluate(kappa):
-        ops = workspace.operators(kappa, path)
-        quad = ops.quad_form(residual)
-        if quad <= 0.0:
-            return math.inf
-        return n * math.log(quad) + ops.logdet
-
-    found = minimize_scalar(_guarded(evaluate), log10_bracket, rel_tol)
-    ops = workspace.operators(found.kappa_hat, path)
-    variance = ops.quad_form(residual) / n
+    objective = MarginalObjective(MarginalWorkspace(problem, prior.w_beta), prior)
+    found = minimize_scalar(lambda kappa: objective(kappa).total, log10_bracket, rel_tol)
+    variance = objective(found.kappa_hat).quad_term / problem.n
     return SelectionResult(
         kappa_hat=found.kappa_hat,
         sigma2_hat=variance,
@@ -220,7 +179,7 @@ def select_case1(
         trace=found.trace,
         boundary_flag=found.boundary_flag,
         mu_assumed_zero=prior.mu_assumed_zero,
-        case_tag=_case_tag(prior, case1=True),
+        case_tag=objective.case_tag,
     )
 
 
@@ -230,19 +189,10 @@ def select_case2(
     sigma2,
     log10_bracket=DEFAULT_BRACKET,
     rel_tol=DEFAULT_REL_TOL,
-    path="auto",
 ):
     """Known sigma2: minimize r^T E^-1 r / sigma2 + ln det E over kappa."""
-    if not sigma2 > 0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
-    workspace = MarginalWorkspace(problem, prior.w_beta)
-    residual = workspace.residual(prior)
-
-    def evaluate(kappa):
-        ops = workspace.operators(kappa, path)
-        return ops.quad_form(residual) / sigma2 + ops.logdet
-
-    found = minimize_scalar(_guarded(evaluate), log10_bracket, rel_tol)
+    objective = MarginalObjective(MarginalWorkspace(problem, prior.w_beta), prior, sigma2)
+    found = minimize_scalar(lambda kappa: objective(kappa).total, log10_bracket, rel_tol)
     return SelectionResult(
         kappa_hat=found.kappa_hat,
         sigma2_hat=float(sigma2),
@@ -251,5 +201,5 @@ def select_case2(
         trace=found.trace,
         boundary_flag=found.boundary_flag,
         mu_assumed_zero=prior.mu_assumed_zero,
-        case_tag=_case_tag(prior, case1=False),
+        case_tag=objective.case_tag,
     )

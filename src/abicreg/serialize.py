@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 
+from .errors import EvaluationError
+
 __all__ = ["format_float", "dumps", "dump"]
 
 
@@ -17,7 +19,7 @@ def format_float(value):
     """Render a float with 17 significant digits (round-trips exactly)."""
     value = float(value)
     if not np.isfinite(value):
-        raise ValueError(f"non-finite value {value!r} is not representable in JSON")
+        raise EvaluationError(f"non-finite value {value!r} is not representable in JSON")
     return format(value, ".17g")
 
 
@@ -68,5 +70,6 @@ def dumps(obj, indent=2):
 
 
 def dump(obj, path, indent=2):
+    text = dumps(obj, indent=indent)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(dumps(obj, indent=indent))
+        handle.write(text)

@@ -11,6 +11,7 @@ import math
 import subprocess
 import time
 
+import mpmath as mp
 import numpy as np
 import scipy.integrate
 
@@ -402,7 +403,7 @@ def test_criterion_08_byte_identical_reruns(tmp_path):
 
 
 def test_criterion_09_dual_path_agreement():
-    """Direct n x n evaluation vs the reduced t x t route."""
+    """Spectral route vs numpy on the explicitly assembled n x n cofactor."""
     start = time.perf_counter()
     rng = np.random.default_rng(20260909)
     worst = 0.0
@@ -413,20 +414,65 @@ def test_criterion_09_dual_path_agreement():
             workspace = ar.MarginalWorkspace(problem, prior.w_beta)
             residual = workspace.residual(prior)
             kappa = 10.0 ** rng.uniform(-4.0, 4.0)
-            dense = workspace.operators(kappa, path="dense")
-            reduced = workspace.operators(kappa, path="lowrank")
-            worst = max(worst, abs(dense.logdet - reduced.logdet) / max(1.0, abs(dense.logdet)))
-            qd, ql = dense.quad_form(residual), reduced.quad_form(residual)
-            worst = max(worst, abs(qd - ql) / abs(qd))
-            sd, sl = dense.solve(residual), reduced.solve(residual)
-            worst = max(worst, float(np.linalg.norm(sd - sl) / np.linalg.norm(sd)))
-            td, tl = dense.expected_noise_quad(), reduced.expected_noise_quad()
-            worst = max(worst, abs(td - tl) / abs(td))
+            spectral = workspace.operators(kappa)
+            # E = Sigma / sigma2 with sigma2 = 1 and sigma_beta2 = 1 / kappa
+            cofactor = ar.marginal_covariance(problem, prior, 1.0, 1.0 / kappa)
+            logdet = np.linalg.slogdet(cofactor)[1]
+            worst = max(worst, abs(spectral.logdet - logdet) / max(1.0, abs(logdet)))
+            solved = np.linalg.solve(cofactor, residual)
+            quad = float(residual @ solved)
+            worst = max(worst, abs(spectral.quad_form(residual) - quad) / abs(quad))
+            sd = spectral.solve(residual)
+            worst = max(worst, float(np.linalg.norm(sd - solved) / np.linalg.norm(solved)))
+            trace = np.trace(np.linalg.solve(cofactor, np.linalg.inv(problem.w)))
+            worst = max(worst, abs(spectral.expected_noise_quad() - trace) / abs(trace))
     elapsed = time.perf_counter() - start
     _report(
         9,
-        "dual path agreement",
+        "spectral vs dense agreement",
         worst < 1e-9 and elapsed < 10.0,
-        f"max rel disagreement {worst:.2e} (tol 1e-9) over 15 fixtures up to n=64 "
-        f"in {elapsed:.1f}s (budget 10s)",
+        f"max rel disagreement {worst:.2e} (tol 1e-9) with dense E over 15 fixtures up to n=64, "
+        f"kappa in 1e-4..1e4, in {elapsed:.1f}s (budget 10s)",
+    )
+
+
+def test_criterion_10_high_precision_reference():
+    """Spectral route vs a 60-digit mpmath evaluation over the whole default bracket."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(20261012)
+    worst = {"quad": 0.0, "logdet": 0.0, "trace": 0.0}
+    with mp.workdps(60):
+        for _ in range(3):
+            problem, prior = random_fixture(rng, 12, 6, cond=1e8)
+            workspace = ar.MarginalWorkspace(problem, prior.w_beta)
+            residual = workspace.residual(prior)
+            a = mp.matrix(problem.a_matrix.tolist())
+            w_inv = mp.inverse(mp.matrix(problem.w.tolist()))
+            prior_gram = a * mp.inverse(mp.matrix(prior.w_beta.tolist())) * a.T
+            r = mp.matrix(residual.tolist())
+            for k in range(-12, 13):
+                kappa = 10.0**k
+                cofactor = w_inv + prior_gram / mp.mpf(kappa)
+                inverse = mp.inverse(cofactor)
+                quad = (r.T * inverse * r)[0]
+                logdet = mp.log(mp.det(cofactor))
+                trace = sum((inverse * w_inv)[i, i] for i in range(problem.n))
+                ops = workspace.operators(kappa)
+                errors = {
+                    "quad": abs(ops.quad_form(residual) - quad) / quad,
+                    # ln det E can cross zero: its error is relative to max(1, |ln det E|)
+                    "logdet": abs(ops.logdet - logdet) / max(1, abs(logdet)),
+                    "trace": abs(ops.expected_noise_quad() - trace) / trace,
+                }
+                for key, err in errors.items():
+                    worst[key] = max(worst[key], float(err))
+    elapsed = time.perf_counter() - start
+    _report(
+        10,
+        "high-precision reference",
+        max(worst.values()) <= 1e-10 and elapsed < 30.0,
+        "max rel err "
+        + ", ".join(f"{key} {err:.2e}" for key, err in worst.items())
+        + f" (tol 1e-10) over 3 fixtures 12x6, cond 1e8, kappa = 1e-12..1e12, "
+        f"{elapsed:.1f}s (budget 30s)",
     )

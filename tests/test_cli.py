@@ -170,6 +170,21 @@ class TestSelectKappa:
         proc = run_cli("select-kappa", "--problem", "bad.json", cwd=tmp_path)
         assert proc.returncode == 2
 
+    def test_non_finite_problem_exits_2(self, tmp_path):
+        # json accepts the NaN literal, so the check has to happen on load
+        (tmp_path / "nan.json").write_text('{"A": [[1.0], [2.0]], "y": [NaN, 1.0]}')
+        proc = run_cli("select-kappa", "--problem", "nan.json", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"]["category"] == "config"
+
+    def test_bracket_outside_float_range_exits_2(self, generated):
+        proc = run_cli(
+            "select-kappa", "--problem", "gen/problem.json", "--bracket", "-400", "400",
+            "--out", "wide", cwd=generated,
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"]["category"] == "config"
+
 
 class TestSweep:
     def test_csv_contract(self, swept):

@@ -57,6 +57,8 @@ class TestRegularized:
         problem = ar.InverseProblem([[1.0], [1.0]], [1.0, 1.0])
         with pytest.raises(ar.DomainError):
             ar.regularized_estimate(problem, kappa=-0.5)
+        with pytest.raises(ar.DomainError):
+            ar.regularized_estimate(problem, kappa=float("nan"))
 
 
 class TestBayes:

@@ -73,11 +73,9 @@ class TestMarginalCovariance:
         sigma2, sigma_beta2 = 0.9, 0.4
         kappa = sigma2 / sigma_beta2
         ops = ar.build_cofactor(problem, prior.w_beta, kappa)
-        assert_allclose(
-            ops.covariance(sigma2),
-            ar.marginal_covariance(problem, prior, sigma2, sigma_beta2),
-            rtol=1e-10,
-        )
+        cov = ar.marginal_covariance(problem, prior, sigma2, sigma_beta2)
+        # Sigma = sigma2 * E, so E^-1 Sigma / sigma2 is the identity
+        assert_allclose(ops.solve(cov / sigma2), np.eye(problem.n), atol=1e-10)
 
     def test_zero_prior_variance_collapses_to_noise(self):
         rng = np.random.default_rng(12)
@@ -86,44 +84,37 @@ class TestMarginalCovariance:
         assert_allclose(cov, np.linalg.inv(problem.w) * 2.0, rtol=1e-10)
 
 
+def _dense_cofactor(problem, prior, kappa):
+    """E = W^-1 + A W_beta^-1 A^T / kappa, assembled densely."""
+    return ar.marginal_covariance(problem, prior, 1.0, 1.0 / kappa)
+
+
 class TestOperatorPaths:
     def test_dense_and_lowrank_agree(self):
+        # the spectral operators against numpy on the explicit dense E
         rng = np.random.default_rng(13)
         for trial in range(15):
             n = int(rng.integers(3, 30))
             t = int(rng.integers(1, min(n, 7) + 1))
             problem, prior = random_fixture(rng, n, t)
             kappa = 10.0 ** rng.uniform(-4, 4)
-            workspace = ar.MarginalWorkspace(problem, prior.w_beta)
-            dense = workspace.operators(kappa, path="dense")
-            lowrank = workspace.operators(kappa, path="lowrank")
-            residual = workspace.residual(prior)
-            assert dense.logdet == pytest.approx(lowrank.logdet, rel=1e-9)
-            assert dense.quad_form(residual) == pytest.approx(
-                lowrank.quad_form(residual), rel=1e-9
-            )
-            assert_allclose(dense.solve(residual), lowrank.solve(residual), rtol=1e-8)
-            assert dense.expected_noise_quad() == pytest.approx(
-                lowrank.expected_noise_quad(), rel=1e-9
-            )
-
-    def test_auto_path_rule(self):
-        rng = np.random.default_rng(14)
-        tall, tall_prior = random_fixture(rng, 8, 2)
-        assert ar.MarginalWorkspace(tall, tall_prior.w_beta).operators(1.0).path == "lowrank"
-        square = ar.InverseProblem(np.eye(6) + 0.1, np.ones(6))
-        assert ar.MarginalWorkspace(square).operators(1.0).path == "dense"
-        big = ar.InverseProblem(
-            np.eye(ar.DENSE_PATH_MAX_N + 1) + 0.1, np.ones(ar.DENSE_PATH_MAX_N + 1)
-        )
-        assert ar.MarginalWorkspace(big).operators(1.0).path == "lowrank"
+            ops = ar.MarginalWorkspace(problem, prior.w_beta).operators(kappa)
+            cofactor = _dense_cofactor(problem, prior, kappa)
+            residual = problem.y - problem.a_matrix @ prior.mu
+            solved = np.linalg.solve(cofactor, residual)
+            assert ops.logdet == pytest.approx(np.linalg.slogdet(cofactor)[1], rel=1e-9)
+            assert ops.quad_form(residual) == pytest.approx(residual @ solved, rel=1e-9)
+            assert_allclose(ops.solve(residual), solved, rtol=1e-8)
+            expected_trace = np.trace(np.linalg.solve(cofactor, np.linalg.inv(problem.w)))
+            assert ops.expected_noise_quad() == pytest.approx(expected_trace, rel=1e-9)
 
     def test_solve_matches_matrix_inverse(self):
         rng = np.random.default_rng(15)
         problem, prior = random_fixture(rng, 7, 3)
         ops = ar.build_cofactor(problem, prior.w_beta, 0.8)
         rhs = rng.standard_normal(7)
-        assert_allclose(ops.solve(rhs), np.linalg.solve(ops.matrix, rhs), rtol=1e-9)
+        cofactor = _dense_cofactor(problem, prior, 0.8)
+        assert_allclose(ops.solve(rhs), np.linalg.solve(cofactor, rhs), rtol=1e-9)
 
     def test_quad_form_matrix_input_is_columnwise(self):
         rng = np.random.default_rng(16)
@@ -138,14 +129,13 @@ class TestOperatorPaths:
         rng = np.random.default_rng(17)
         problem, prior = random_fixture(rng, 6, 2)
         ops = ar.build_cofactor(problem, prior.w_beta, 0.7)
-        expected = np.trace(np.linalg.solve(ops.matrix, np.linalg.inv(problem.w)))
+        cofactor = _dense_cofactor(problem, prior, 0.7)
+        expected = np.trace(np.linalg.solve(cofactor, np.linalg.inv(problem.w)))
         assert ops.expected_noise_quad() == pytest.approx(expected, rel=1e-10)
 
     def test_invalid_path_rejected(self):
         problem = ar.InverseProblem([[1.0], [1.0]], [1.0, 1.0])
         workspace = ar.MarginalWorkspace(problem)
-        with pytest.raises(ar.DomainError):
-            workspace.operators(1.0, path="fast")
         with pytest.raises(ar.DomainError):
             workspace.operators(0.0)
 

@@ -35,6 +35,19 @@ class TestInverseProblem:
         with pytest.raises(ar.DimensionError):
             ar.InverseProblem([[1.0], ["x"]], [1.0, 2.0])
 
+    def test_non_finite_rejected(self):
+        a, y = [[1.0], [2.0]], [1.0, 2.0]
+        with pytest.raises(ar.DomainError):
+            ar.InverseProblem([[1.0], [np.inf]], y)
+        with pytest.raises(ar.DomainError):
+            ar.InverseProblem(a, [1.0, np.nan])
+        with pytest.raises(ar.DomainError):
+            ar.InverseProblem(a, y, w=[[1.0, 0.0], [0.0, np.nan]])
+        with pytest.raises(ar.DomainError):
+            ar.default_prior(1, mu=[np.inf])
+        with pytest.raises(ar.DomainError):
+            ar.default_prior(1, w_beta=[[np.nan]])
+
     def test_design_round_trip(self):
         design = ar.ProblemDesign([[1.0], [2.0]])
         p = design.with_observations([3.0, 4.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import abicreg as ar
-from abicreg.selection import GRID_POINTS
+from abicreg.selection import DEFAULT_REL_TOL, GRID_POINTS
 from conftest import random_fixture
 
 
@@ -59,6 +59,9 @@ class TestMinimizeScalar:
             ar.minimize_scalar(lambda k: k, log10_bracket=(3.0, 3.0))
         with pytest.raises(ar.DomainError):
             ar.minimize_scalar(lambda k: k, rel_tol=0.0)
+        # 10 ** 400 overflows and 10 ** -400 underflows to zero
+        with pytest.raises(ar.DomainError):
+            ar.minimize_scalar(lambda k: k, log10_bracket=(-400.0, 400.0))
 
     def test_mostly_non_finite_grid_raises(self):
         def objective(kappa):
@@ -117,6 +120,23 @@ class TestSelectCase1:
         result = ar.select_case1(problem, zeroed)
         assert result.case_tag is ar.ObjectiveCase.CASE1_ZERO_MEAN
         assert result.mu_assumed_zero
+
+
+    def test_scale_invariant(self):
+        # y -> c y leaves kappa_hat alone and scales sigma2_hat by c^2,
+        # also where r^T E^-1 r itself leaves the float range
+        design, exact = ar.phillips_problem(32)
+        y, _ = ar.synthesize_observations(design, exact, sigma2=1e-4, seed=3)
+        prior = ar.default_prior(design.t)
+        base = ar.select_case1(design.with_observations(y), prior)
+        for scale in (1e150, 1e160, 1e-200):
+            result = ar.select_case1(design.with_observations(y * scale), prior)
+            assert result.boundary_flag is ar.BoundaryFlag.INTERIOR
+            assert result.kappa_hat == pytest.approx(base.kappa_hat, rel=DEFAULT_REL_TOL)
+            # at 1e160 and 1e-200 both sides overflow to inf or underflow to 0
+            assert result.sigma2_hat == pytest.approx(
+                base.sigma2_hat * scale * scale, rel=DEFAULT_REL_TOL
+            )
 
 
 class TestSelectCase2:
