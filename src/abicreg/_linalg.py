@@ -9,13 +9,6 @@ from .errors import FactorizationError
 SYMMETRY_RTOL = 1e-12
 
 
-def as_matrix(value, name):
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 2:
-        raise FactorizationError(f"{name} must be a 2-d matrix, got ndim={arr.ndim}")
-    return arr
-
-
 def max_asymmetry(mat):
     """Largest |M - M^T| entry relative to the largest |M| entry."""
     scale = np.max(np.abs(mat))
@@ -24,44 +17,14 @@ def max_asymmetry(mat):
     return float(np.max(np.abs(mat - mat.T)) / scale)
 
 
-def is_symmetric(mat, rtol=SYMMETRY_RTOL):
-    return max_asymmetry(mat) <= rtol
-
-
 def spd_factor(mat, name):
-    """Cholesky-factor a symmetric positive definite matrix.
+    """Lower Cholesky factor L of a square matrix, mat = L L^T, upper triangle zeroed.
 
     Symmetry is checked explicitly first because the LAPACK routine only
     reads one triangle and would silently accept an asymmetric input.
-    Returns the (factor, lower) pair used by ``scipy.linalg.cho_solve``.
     """
-    mat = as_matrix(mat, name)
-    if mat.shape[0] != mat.shape[1]:
-        raise FactorizationError(f"{name} must be square, got shape {mat.shape}")
-    if not is_symmetric(mat):
-        raise FactorizationError(
-            f"{name} is not symmetric within relative tolerance {SYMMETRY_RTOL:g}"
-        )
-    try:
-        return la.cho_factor(mat, lower=True, check_finite=False)
-    except la.LinAlgError as exc:
-        raise FactorizationError(f"{name} is not positive definite: {exc}") from exc
-
-
-def spd_solve(factor, rhs):
-    return la.cho_solve(factor, rhs, check_finite=False)
-
-
-def spd_logdet(factor):
-    """log det of the factored matrix, via the Cholesky diagonal."""
-    diag = np.diag(factor[0])
-    return float(2.0 * np.sum(np.log(diag)))
-
-
-def lower_cholesky(mat, name):
-    """Plain lower Cholesky factor L with mat = L L^T (for noise sampling)."""
-    mat = as_matrix(mat, name)
-    if not is_symmetric(mat):
+    mat = np.asarray(mat, dtype=float)
+    if max_asymmetry(mat) > SYMMETRY_RTOL:
         raise FactorizationError(
             f"{name} is not symmetric within relative tolerance {SYMMETRY_RTOL:g}"
         )
@@ -69,6 +32,15 @@ def lower_cholesky(mat, name):
         return la.cholesky(mat, lower=True, check_finite=False)
     except la.LinAlgError as exc:
         raise FactorizationError(f"{name} is not positive definite: {exc}") from exc
+
+
+def spd_solve(lower, rhs):
+    return la.cho_solve((lower, True), rhs, check_finite=False)
+
+
+def spd_logdet(lower):
+    """log det of L L^T, via the diagonal of the Cholesky factor L."""
+    return float(2.0 * np.sum(np.log(np.diag(lower))))
 
 
 def symmetrize(mat):

@@ -31,11 +31,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
-from ._linalg import lower_cholesky
 from .errors import AbicregError, DomainError, EvaluationError
 from .marginal import MarginalWorkspace
+from .model import as_weight
 from .selection import DEFAULT_BRACKET, DEFAULT_REL_TOL, BoundaryFlag, select_case1, select_case2
 
 __all__ = [
@@ -68,25 +67,17 @@ def replicate_stream(seed, replicate):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate,)))
 
 
-def _solve_against_factor(lower, z):
-    # lower @ lower.T = weight; returns x with cov(x) = weight^-1
-    if np.array_equal(lower, np.eye(lower.shape[0])):
-        return z
-    return la.solve_triangular(lower, z, trans="T", lower=True, check_finite=False)
+def _color(weight, variance, z):
+    """Standard normals z to N(0, weight^-1 variance) draws: L^-T z for weight = L L^T."""
+    return math.sqrt(variance) * weight.solve_lower(z, trans=True)
 
 
 def draw_noise(w, sigma2, rng):
-    """One draw of eps ~ N(0, W^-1 sigma2).
-
-    Standard normals are solved against the transposed Cholesky factor
-    of W, so only a factorization of the weight matrix is ever needed.
-    """
+    """One draw of eps ~ N(0, W^-1 sigma2); ``w`` is a Weight or a matrix."""
     if sigma2 < 0:
         raise DomainError(f"sigma2 must be nonnegative, got {sigma2}")
-    w = np.asarray(w, dtype=float)
-    lower = lower_cholesky(w, "w")
-    z = rng.standard_normal(w.shape[0])
-    return math.sqrt(sigma2) * _solve_against_factor(lower, z)
+    w = as_weight(w, "w")
+    return _color(w, sigma2, rng.standard_normal(w.size))
 
 
 @dataclass(frozen=True)
@@ -148,7 +139,6 @@ def _noise_block(design, sigma2, seed, replicates, extra_draws=0):
     Each replicate consumes its own stream, noise first.
     """
     n = design.n
-    lower = lower_cholesky(design.w, "w")
     z_eps = np.empty((n, replicates))
     z_extra = np.empty((extra_draws, replicates)) if extra_draws else None
     for r in range(replicates):
@@ -156,13 +146,7 @@ def _noise_block(design, sigma2, seed, replicates, extra_draws=0):
         z_eps[:, r] = rng.standard_normal(n)
         if extra_draws:
             z_extra[:, r] = rng.standard_normal(extra_draws)
-    if np.array_equal(lower, np.eye(n)):
-        eps = math.sqrt(sigma2) * z_eps
-    else:
-        eps = math.sqrt(sigma2) * la.solve_triangular(
-            lower, z_eps, trans="T", lower=True, check_finite=False
-        )
-    return eps, z_extra
+    return _color(design.w, sigma2, z_eps), z_extra
 
 
 def mc_sigma2_study(
@@ -197,14 +181,7 @@ def mc_sigma2_study(
 
     if mu_mode is MuMode.TRUE_MU:
         eps, z_beta = _noise_block(design, sigma2, seed, replicates, extra_draws=t)
-        beta_lower = lower_cholesky(prior.w_beta, "w_beta")
-        sigma_beta = math.sqrt(sigma2 / kappa)
-        if np.array_equal(beta_lower, np.eye(t)):
-            beta_dev = sigma_beta * z_beta
-        else:
-            beta_dev = sigma_beta * la.solve_triangular(
-                beta_lower, z_beta, trans="T", lower=True, check_finite=False
-            )
+        beta_dev = _color(prior.w_beta, sigma2 / kappa, z_beta)
         # residual y - A mu = A (beta - mu) + eps
         residuals = design.a_matrix @ beta_dev + eps
         analytic = float(sigma2)

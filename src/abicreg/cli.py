@@ -28,7 +28,6 @@ from .estimators import bayes_estimate, ls_estimate, regularized_estimate
 from .marginal import sweep_objective, write_sweep_csv
 from .model import (
     GroundTruth,
-    ProblemDesign,
     condition_estimate,
     default_prior,
     load_problem,
@@ -195,7 +194,7 @@ def _bias_inputs(args):
         if not isinstance(doc, dict) or "exact_solution" not in doc:
             raise CliConfigError("truth file must be a JSON object with an exact_solution key")
         exact = np.asarray(doc["exact_solution"], dtype=float)
-        design = ProblemDesign(loaded.problem.a_matrix, loaded.problem.w)
+        design = loaded.problem.design
         truth = GroundTruth.from_design(design, exact)
         # study prior is centered on the truth; the w_beta comes from the file
         prior = default_prior(design.t, mu=exact, w_beta=loaded.prior.w_beta)

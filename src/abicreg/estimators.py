@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import spd_factor, spd_logdet, spd_solve, symmetrize
+from ._linalg import spd_factor, spd_solve, symmetrize
 from .errors import DomainError, FactorizationError, SingularMatrixError
+from .model import as_weight
 
 __all__ = [
     "EstimatorMethod",
@@ -67,7 +68,7 @@ class Estimate:
 
 
 def _normal_pieces(problem):
-    wa = problem.w @ problem.a_matrix
+    wa = problem.w.apply(problem.a_matrix)
     normal = symmetrize(problem.a_matrix.T @ wa)
     rhs = wa.T @ problem.y
     return normal, rhs
@@ -97,10 +98,9 @@ def regularized_estimate(problem, w_beta=None, kappa=0.0):
     """Regularized solution: solve (A^T W A + kappa W_beta) beta = A^T W y."""
     if not kappa >= 0:
         raise DomainError(f"kappa must be nonnegative, got {kappa}")
-    if w_beta is None:
-        w_beta = np.eye(problem.t)
+    w_beta = as_weight(w_beta, "w_beta", problem.t)
     normal, rhs = _normal_pieces(problem)
-    factor = spd_factor(normal + kappa * np.asarray(w_beta, dtype=float), "regularized normal matrix")
+    factor = spd_factor(normal + kappa * w_beta.to_array(), "regularized normal matrix")
     return Estimate(spd_solve(factor, rhs), EstimatorMethod.REGULARIZED, kappa=float(kappa))
 
 
@@ -122,8 +122,8 @@ def bayes_estimate(problem, prior, sigma2, sigma_beta2):
     """
     _check_variances(sigma2, sigma_beta2)
     normal, rhs = _normal_pieces(problem)
-    lhs = normal / sigma2 + prior.w_beta / sigma_beta2
-    full_rhs = rhs / sigma2 + (prior.w_beta @ prior.mu) / sigma_beta2
+    lhs = normal / sigma2 + prior.w_beta.to_array() / sigma_beta2
+    full_rhs = rhs / sigma2 + prior.w_beta.apply(prior.mu) / sigma_beta2
     factor = spd_factor(lhs, "posterior precision matrix")
     return Estimate(
         spd_solve(factor, full_rhs),
@@ -142,10 +142,9 @@ def bayes_zero_mean_estimate(problem, w_beta, sigma2, sigma_beta2):
     identity.
     """
     _check_variances(sigma2, sigma_beta2)
-    if w_beta is None:
-        w_beta = np.eye(problem.t)
+    w_beta = as_weight(w_beta, "w_beta", problem.t)
     normal, rhs = _normal_pieces(problem)
-    lhs = normal / sigma2 + np.asarray(w_beta, dtype=float) / sigma_beta2
+    lhs = normal / sigma2 + w_beta.to_array() / sigma_beta2
     factor = spd_factor(lhs, "posterior precision matrix")
     return Estimate(
         spd_solve(factor, rhs / sigma2),
@@ -155,14 +154,12 @@ def bayes_zero_mean_estimate(problem, w_beta, sigma2, sigma_beta2):
     )
 
 
-def _gaussian_logpdf(residual, weight, variance, name):
+def _gaussian_logpdf(residual, weight, variance):
     """log N(residual; 0, weight^-1 variance) including all constants."""
     k = residual.shape[0]
-    factor = spd_factor(weight, name)
     # weight is the inverse covariance factor, so the quadratic form needs no solve
-    quad = float(residual @ (np.asarray(weight, dtype=float) @ residual))
-    logdet_weight = spd_logdet(factor)
-    return -0.5 * k * LOG_2PI - 0.5 * k * math.log(variance) + 0.5 * logdet_weight - 0.5 * quad / variance
+    quad = float(residual @ weight.apply(residual))
+    return -0.5 * k * LOG_2PI - 0.5 * k * math.log(variance) + 0.5 * weight.logdet - 0.5 * quad / variance
 
 
 def log_joint_density(problem, prior, beta, sigma2, sigma_beta2):
@@ -174,8 +171,8 @@ def log_joint_density(problem, prior, beta, sigma2, sigma_beta2):
     """
     _check_variances(sigma2, sigma_beta2)
     beta = np.asarray(beta, dtype=float)
-    data_term = _gaussian_logpdf(problem.y - problem.a_matrix @ beta, problem.w, sigma2, "w")
-    prior_term = _gaussian_logpdf(beta - prior.mu, prior.w_beta, sigma_beta2, "w_beta")
+    data_term = _gaussian_logpdf(problem.y - problem.a_matrix @ beta, problem.w, sigma2)
+    prior_term = _gaussian_logpdf(beta - prior.mu, prior.w_beta, sigma_beta2)
     return data_term + prior_term
 
 

@@ -47,8 +47,9 @@ import scipy.linalg as la
 from scipy.linalg import blas
 
 from . import serialize
-from ._linalg import lower_cholesky, spd_factor, spd_logdet, spd_solve, symmetrize
+from ._linalg import spd_factor, spd_logdet, spd_solve, symmetrize
 from .errors import DegenerateProblemError, DomainError, FactorizationError
+from .model import as_weight
 
 __all__ = [
     "ObjectiveCase",
@@ -59,14 +60,12 @@ __all__ = [
     "SweepRow",
     "kappa_grid",
     "marginal_covariance",
-    "build_cofactor",
     "log_marginal_density",
     "neg_log_lik_variances",
     "neg_log_lik_kappa",
     "sigma2_hat",
     "abic_case1",
     "abic_case2",
-    "split_terms",
     "sweep_objective",
     "write_sweep_csv",
     "SWEEP_HEADER",
@@ -109,16 +108,16 @@ class MarginalOperators:
         self.t = workspace.t
         # kappa / (s^2 + kappa): the share of each singular direction E^-1 keeps
         self._damping = self.kappa / (workspace.s2 + self.kappa)
-        self.logdet = float(np.sum(np.log1p(workspace.s2 / self.kappa))) - workspace.logdet_w
+        self.logdet = float(np.sum(np.log1p(workspace.s2 / self.kappa))) - workspace.w.logdet
 
     def solve(self, rhs):
         """E^-1 rhs for a vector or a matrix of column vectors."""
         ws = self._ws
-        z = ws.w_lower.T @ np.asarray(rhs, dtype=float)
+        z = ws.w.mul_lower(rhs, trans=True)
         coef = ws.u.T @ z
         filt = ws.s2 / (ws.s2 + self.kappa)
         filtered = filt * coef if coef.ndim == 1 else filt[:, None] * coef
-        return ws.w_lower @ (z - ws.u @ filtered)
+        return ws.w.mul_lower(z - ws.u @ filtered)
 
     def quad_form(self, residual):
         """r^T E^-1 r; columns are handled independently for a matrix input."""
@@ -138,24 +137,19 @@ class MarginalOperators:
 class MarginalWorkspace:
     """Kappa-independent decomposition shared across objective evaluations.
 
-    Holds the lower Cholesky factor L_W of W, ln det W, and the left
-    singular vectors U and squared singular values s^2 of the whitened
-    design L_W^T A L_b^-T. Nothing that depends on kappa is cached here.
+    Holds the weight W of the problem (whose Weight caches L_W and
+    ln det W), and the left singular vectors U and squared singular
+    values s^2 of the whitened design L_W^T A L_b^-T. Nothing that
+    depends on kappa is cached here.
     """
 
     def __init__(self, problem, w_beta=None):
         self.problem = problem
         self.n = problem.n
         self.t = problem.t
-        w_beta = np.eye(self.t) if w_beta is None else np.asarray(w_beta, dtype=float)
-        if w_beta.shape != (self.t, self.t):
-            raise DomainError(f"w_beta has shape {w_beta.shape}, expected ({self.t}, {self.t})")
-        self.w_lower = lower_cholesky(problem.w, "w")
-        self.logdet_w = 2.0 * float(np.sum(np.log(np.diag(self.w_lower))))
-        wbeta_lower = lower_cholesky(w_beta, "w_beta")
-        whitened = la.solve_triangular(
-            wbeta_lower, (self.w_lower.T @ problem.a_matrix).T, lower=True, check_finite=False
-        ).T
+        self.w = problem.w
+        w_beta = as_weight(w_beta, "w_beta", self.t)
+        whitened = w_beta.solve_lower(self.w.mul_lower(problem.a_matrix, trans=True).T).T
         try:
             u, s, _ = la.svd(whitened, full_matrices=False, check_finite=False)
         except la.LinAlgError as exc:
@@ -178,7 +172,7 @@ class MarginalWorkspace:
         For a matrix of residual columns both parts hold one entry per
         column.
         """
-        z = self.w_lower.T @ np.asarray(residual, dtype=float)
+        z = self.w.mul_lower(residual, trans=True)
         coef = self.u.T @ z
         if z.ndim == 1:
             z -= self.u @ coef
@@ -261,11 +255,6 @@ def kappa_grid(log10_bracket, points):
     return logs, [10.0 ** float(g) for g in logs]
 
 
-def build_cofactor(problem, w_beta=None, kappa=1.0):
-    """Operators for E = W^-1 + A W_beta^-1 A^T / kappa at one kappa."""
-    return MarginalWorkspace(problem, w_beta).operators(kappa)
-
-
 def marginal_covariance(problem, prior, sigma2, sigma_beta2):
     """Covariance of the marginal measurement distribution.
 
@@ -277,11 +266,10 @@ def marginal_covariance(problem, prior, sigma2, sigma_beta2):
         raise DomainError(f"sigma2 must be positive, got {sigma2}")
     if sigma_beta2 < 0:
         raise DomainError(f"sigma_beta2 must be nonnegative, got {sigma_beta2}")
-    w_factor = spd_factor(problem.w, "w")
-    wbeta_factor = spd_factor(prior.w_beta, "w_beta")
-    w_inv = spd_solve(w_factor, np.eye(problem.n))
-    prior_gram = problem.a_matrix @ spd_solve(wbeta_factor, problem.a_matrix.T)
-    return symmetrize(w_inv * sigma2 + prior_gram * sigma_beta2)
+    # W^-1 = L_W^-T L_W^-1 and A W_beta^-1 A^T = G^T G with G = L_b^-1 A^T
+    w_inv = problem.w.solve_lower(problem.w.solve_lower(np.eye(problem.n)), trans=True)
+    half_gram = prior.w_beta.solve_lower(problem.a_matrix.T)
+    return symmetrize(w_inv * sigma2 + (half_gram.T @ half_gram) * sigma_beta2)
 
 
 def log_marginal_density(problem, prior, sigma2, sigma_beta2):
@@ -315,20 +303,14 @@ def neg_log_lik_kappa(problem, prior, sigma2, kappa):
     return problem.n * math.log(sigma2) + case2.total
 
 
-def split_terms(problem, prior, kappa):
-    """The raw (quadratic form, log determinant) pair both cases share."""
-    workspace = MarginalWorkspace(problem, prior.w_beta)
-    ops = workspace.operators(kappa)
-    return ops.quad_form(workspace.residual(prior)), ops.logdet
-
-
 def sigma2_hat(problem, prior, kappa):
     """Variance estimate at fixed kappa: r^T E^-1 r / n.
 
     With a zero prior mean this is the measurement-only variant whose
     bias the bias module quantifies.
     """
-    return split_terms(problem, prior, kappa)[0] / problem.n
+    workspace = MarginalWorkspace(problem, prior.w_beta)
+    return workspace.operators(kappa).quad_form(workspace.residual(prior)) / problem.n
 
 
 def abic_case1(problem, prior, kappa):

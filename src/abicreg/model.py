@@ -6,6 +6,12 @@ about beta enters as a mean vector mu, a weight matrix W_beta and an
 optional variance sigma_beta2, so that cov(beta) = W_beta^-1 sigma_beta2.
 The relative weight kappa = sigma2 / sigma_beta2 ties the two variance
 components together.
+
+Both weights are held as ``Weight`` objects. An omitted weight is the
+identity of the right size and no matrix is ever built for it; a
+supplied matrix is stored frozen and Cholesky-factored, once, the first
+time a computation needs W = L L^T. Consumers ask the weight for W x,
+L x, L^-1 x or ln det W instead of working on an n x n array.
 """
 
 import json
@@ -16,10 +22,12 @@ import numpy as np
 import scipy.linalg as la
 
 from . import serialize
-from ._linalg import is_symmetric, max_asymmetry, spd_factor
+from ._linalg import SYMMETRY_RTOL, max_asymmetry, spd_factor, spd_logdet, symmetrize
 from .errors import DimensionError, DomainError, RankDeficiencyWarning
 
 __all__ = [
+    "Weight",
+    "as_weight",
     "InverseProblem",
     "ProblemDesign",
     "PriorModel",
@@ -91,6 +99,81 @@ def _as_design(value):
     return _finite(a, "a_matrix")
 
 
+class Weight:
+    """A symmetric positive definite weight: the identity, or a dense matrix.
+
+    ``Weight(size=n)`` is the n x n identity and stores no matrix.
+    ``Weight(matrix, name=...)`` stores a frozen copy of a square, finite
+    ``matrix``. Symmetry and definiteness are checked when the Cholesky
+    factor W = L L^T is first needed, which raises FactorizationError or
+    caches L; a problem may therefore hold an invalid weight for
+    validate_problem to report. There is deliberately no ``__array__``:
+    an implicit conversion would silently rebuild an identity as an
+    n x n array.
+    """
+
+    def __init__(self, matrix=None, size=None, name="w"):
+        self.name = name
+        self._lower = None
+        if matrix is None:
+            if size is None:
+                raise DimensionError(f"an identity {name} needs a size")
+            self.matrix, self.size = None, int(size)
+        else:
+            self.matrix = _freeze(_as_square(matrix, name, size))
+            self.size = self.matrix.shape[0]
+
+    def _factor(self):
+        if self._lower is None:
+            self._lower = spd_factor(self.matrix, self.name)
+        return self._lower
+
+    @property
+    def logdet(self):
+        """ln det W."""
+        return 0.0 if self.matrix is None else spd_logdet(self._factor())
+
+    def apply(self, x):
+        """W x, as a new array."""
+        if self.matrix is None:
+            # a copy: numpy computes x.T @ x on one buffer by syrk, which rounds differently
+            return np.array(x, dtype=float)
+        return self.matrix @ np.asarray(x, dtype=float)
+
+    def mul_lower(self, x, trans=False):
+        """L x, or L^T x with ``trans``; always a new array the caller may overwrite."""
+        if self.matrix is None:
+            return np.array(x, dtype=float, order="C")
+        lower = self._factor()
+        return (lower.T if trans else lower) @ np.asarray(x, dtype=float)
+
+    def solve_lower(self, x, trans=False):
+        """L^-1 x, or L^-T x with ``trans``; x itself for the identity."""
+        x = np.asarray(x, dtype=float)
+        if self.matrix is None:
+            return x
+        return la.solve_triangular(
+            self._factor(), x, trans="T" if trans else "N", lower=True, check_finite=False
+        )
+
+    def to_array(self):
+        """W as a dense array, for reference computations on small problems."""
+        return np.eye(self.size) if self.matrix is None else self.matrix
+
+
+def as_weight(value, name, size=None):
+    """A Weight from None (the identity), a matrix, or a Weight.
+
+    A Weight passes through unchanged, so its cached factor is shared.
+    ``size``, when given, is checked; None needs it.
+    """
+    if not isinstance(value, Weight):
+        return Weight(value, size, name)
+    if size is not None and value.size != size:
+        raise DimensionError(f"{name} has size {value.size}, expected {size}")
+    return value
+
+
 @dataclass(frozen=True)
 class InverseProblem:
     """One instance of the linear model y = A beta + eps.
@@ -102,23 +185,22 @@ class InverseProblem:
         singular values may sit arbitrarily close to zero.
     y : (n,) array
         Measurement vector.
-    w : (n, n) array, optional
-        Measurement weight matrix; cov(eps) = W^-1 sigma^2. Identity when
-        omitted.
+    w : (n, n) array or Weight, optional
+        Measurement weight; cov(eps) = W^-1 sigma^2. Identity when
+        omitted. Stored as a Weight.
     """
 
     a_matrix: np.ndarray
     y: np.ndarray
-    w: np.ndarray = None
+    w: Weight = None
 
     def __post_init__(self):
         a = _as_design(self.a_matrix)
         n = a.shape[0]
         y = _as_vector(self.y, "y", length=n)
-        w = np.eye(n) if self.w is None else _as_square(self.w, "w", size=n)
         object.__setattr__(self, "a_matrix", _freeze(a))
         object.__setattr__(self, "y", _freeze(y))
-        object.__setattr__(self, "w", _freeze(w))
+        object.__setattr__(self, "w", as_weight(self.w, "w", n))
 
     @property
     def n(self):
@@ -138,13 +220,12 @@ class ProblemDesign:
     """A design (A, W) without observations; what generators produce."""
 
     a_matrix: np.ndarray
-    w: np.ndarray = None
+    w: Weight = None
 
     def __post_init__(self):
         a = _as_design(self.a_matrix)
-        w = np.eye(a.shape[0]) if self.w is None else _as_square(self.w, "w", size=a.shape[0])
         object.__setattr__(self, "a_matrix", _freeze(a))
-        object.__setattr__(self, "w", _freeze(w))
+        object.__setattr__(self, "w", as_weight(self.w, "w", a.shape[0]))
 
     @property
     def n(self):
@@ -160,7 +241,7 @@ class ProblemDesign:
 
 @dataclass(frozen=True)
 class PriorModel:
-    """Prior moments for beta: mean mu and weight W_beta.
+    """Prior moments for beta: mean mu and weight W_beta (a Weight; None is the identity).
 
     ``sigma_beta2`` scales the prior covariance, cov(beta) =
     W_beta^-1 sigma_beta2; it may be left unset when only the relative
@@ -171,17 +252,17 @@ class PriorModel:
     """
 
     mu: np.ndarray
-    w_beta: np.ndarray
+    w_beta: Weight
     sigma_beta2: float = None
     mu_assumed_zero: bool = field(default=False)
 
     def __post_init__(self):
         mu = _as_vector(self.mu, "mu")
-        w_beta = _as_square(self.w_beta, "w_beta", size=mu.shape[0])
+        w_beta = as_weight(self.w_beta, "w_beta", mu.shape[0])
         if self.sigma_beta2 is not None and not self.sigma_beta2 > 0:
             raise DomainError(f"sigma_beta2 must be positive, got {self.sigma_beta2}")
         object.__setattr__(self, "mu", _freeze(mu))
-        object.__setattr__(self, "w_beta", _freeze(w_beta))
+        object.__setattr__(self, "w_beta", w_beta)
 
     @property
     def t(self):
@@ -198,8 +279,7 @@ def default_prior(t, mu=None, w_beta=None, sigma_beta2=None):
     A zero mean substituted here sets ``mu_assumed_zero`` so the
     substitution stays visible in every report.
     """
-    if w_beta is None:
-        w_beta = np.eye(t)
+    w_beta = as_weight(w_beta, "w_beta", t)
     if mu is None:
         return PriorModel(np.zeros(t), w_beta, sigma_beta2, mu_assumed_zero=True)
     return PriorModel(mu, w_beta, sigma_beta2)
@@ -286,21 +366,23 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _pd_check(mat, name):
-    try:
-        spd_factor((mat + mat.T) / 2.0, name)
-    except Exception as exc:
-        return ValidationCheck(f"{name}_positive_definite", False, str(exc))
+def _pd_check(weight, name):
+    # the identity needs no factorization to be positive definite
+    if weight.matrix is not None:
+        try:
+            spd_factor(symmetrize(weight.matrix), name)
+        except Exception as exc:
+            return ValidationCheck(f"{name}_positive_definite", False, str(exc))
     return ValidationCheck(
         f"{name}_positive_definite", True, "symmetrized factorization succeeded"
     )
 
 
-def _symmetry_check(mat, name):
-    asym = max_asymmetry(mat)
+def _symmetry_check(weight, name):
+    asym = 0.0 if weight.matrix is None else max_asymmetry(weight.matrix)
     return ValidationCheck(
         f"{name}_symmetric",
-        is_symmetric(mat),
+        asym <= SYMMETRY_RTOL,
         f"max relative asymmetry {asym:.3e} (tolerance 1e-12)",
     )
 
@@ -429,16 +511,16 @@ def load_problem(path):
 def save_problem(path, problem, prior=None, sigma2=None, sigma_beta2=None):
     """Write the JSON problem-file format (17 significant digits).
 
-    Identity weights are omitted rather than materialized; a prior whose
-    mean was assumed zero is written without a ``mu`` key so the flag
-    survives a round trip.
+    A weight is written only when it stores a matrix, so an identity
+    weight is never materialized; a prior whose mean was assumed zero is
+    written without a ``mu`` key so the flag survives a round trip.
     """
     doc = {"A": problem.a_matrix, "y": problem.y}
-    if not np.array_equal(problem.w, np.eye(problem.n)):
-        doc["W"] = problem.w
+    if problem.w.matrix is not None:
+        doc["W"] = problem.w.matrix
     if prior is not None:
-        if not np.array_equal(prior.w_beta, np.eye(prior.t)):
-            doc["W_beta"] = prior.w_beta
+        if prior.w_beta.matrix is not None:
+            doc["W_beta"] = prior.w_beta.matrix
         if not prior.mu_assumed_zero:
             doc["mu"] = prior.mu
         if prior.sigma_beta2 is not None:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bias import replicate_stream, _solve_against_factor
-from ._linalg import lower_cholesky
+from .bias import draw_noise, replicate_stream
 from .errors import DomainError
 from .model import GroundTruth, ProblemDesign
 
@@ -132,11 +131,6 @@ def synthesize_observations(design, exact_solution, sigma2, seed=0):
     the first replicate of a Monte Carlo run with the same seed.
     Returns (y, GroundTruth); sigma2 = 0 gives exact data.
     """
-    if sigma2 < 0:
-        raise DomainError(f"sigma2 must be nonnegative, got {sigma2}")
+    eps = draw_noise(design.w, sigma2, replicate_stream(seed, 0))
     truth = GroundTruth.from_design(design, exact_solution)
-    rng = replicate_stream(seed, 0)
-    z = rng.standard_normal(design.n)
-    lower = lower_cholesky(design.w, "w")
-    eps = math.sqrt(sigma2) * _solve_against_factor(lower, z)
     return truth.y_bar + eps, truth

@@ -156,21 +156,11 @@ def minimize_scalar(objective, log10_bracket=DEFAULT_BRACKET, rel_tol=DEFAULT_RE
     return ScalarMinimum(10.0 ** best_log, BoundaryFlag.INTERIOR, trace, best_val)
 
 
-def select_case1(
-    problem,
-    prior,
-    log10_bracket=DEFAULT_BRACKET,
-    rel_tol=DEFAULT_REL_TOL,
-):
-    """Both variances unknown: minimize the concentrated objective.
-
-    Minimizes n ln(r^T E^-1 r) + ln det E over kappa, then reads the
-    variance estimates at the minimum: sigma2_hat = r^T E^-1 r / n and
-    sigma_beta2_hat = sigma2_hat / kappa_hat.
-    """
-    objective = MarginalObjective(MarginalWorkspace(problem, prior.w_beta), prior)
+def _select(problem, prior, sigma2, log10_bracket, rel_tol):
+    """Minimize the Case-1 (sigma2 None) or Case-2 objective and read the variances."""
+    objective = MarginalObjective(MarginalWorkspace(problem, prior.w_beta), prior, sigma2)
     found = minimize_scalar(lambda kappa: objective(kappa).total, log10_bracket, rel_tol)
-    variance = objective(found.kappa_hat).quad_term / problem.n
+    variance = objective(found.kappa_hat).quad_term / problem.n if sigma2 is None else float(sigma2)
     return SelectionResult(
         kappa_hat=found.kappa_hat,
         sigma2_hat=variance,
@@ -183,6 +173,21 @@ def select_case1(
     )
 
 
+def select_case1(
+    problem,
+    prior,
+    log10_bracket=DEFAULT_BRACKET,
+    rel_tol=DEFAULT_REL_TOL,
+):
+    """Both variances unknown: minimize the concentrated objective.
+
+    Minimizes n ln(r^T E^-1 r) + ln det E over kappa, then reads the
+    variance estimates at the minimum: sigma2_hat = r^T E^-1 r / n and
+    sigma_beta2_hat = sigma2_hat / kappa_hat.
+    """
+    return _select(problem, prior, None, log10_bracket, rel_tol)
+
+
 def select_case2(
     problem,
     prior,
@@ -191,15 +196,4 @@ def select_case2(
     rel_tol=DEFAULT_REL_TOL,
 ):
     """Known sigma2: minimize r^T E^-1 r / sigma2 + ln det E over kappa."""
-    objective = MarginalObjective(MarginalWorkspace(problem, prior.w_beta), prior, sigma2)
-    found = minimize_scalar(lambda kappa: objective(kappa).total, log10_bracket, rel_tol)
-    return SelectionResult(
-        kappa_hat=found.kappa_hat,
-        sigma2_hat=float(sigma2),
-        sigma_beta2_hat=float(sigma2) / found.kappa_hat,
-        objective_at_min=found.objective_at_min,
-        trace=found.trace,
-        boundary_flag=found.boundary_flag,
-        mu_assumed_zero=prior.mu_assumed_zero,
-        case_tag=objective.case_tag,
-    )
+    return _select(problem, prior, sigma2, log10_bracket, rel_tol)

@@ -30,8 +30,8 @@ def _rel(delta, scale):
 
 
 def _posterior_precision(problem, prior, sigma2, sigma_beta2):
-    a, w = problem.a_matrix, problem.w
-    return a.T @ w @ a / sigma2 + prior.w_beta / sigma_beta2
+    a, w = problem.a_matrix, problem.w.to_array()
+    return a.T @ w @ a / sigma2 + prior.w_beta.to_array() / sigma_beta2
 
 
 def test_criterion_01_identity_suite():
@@ -46,7 +46,7 @@ def test_criterion_01_identity_suite():
         problem, prior = random_fixture(rng, n, t, cond=cond)
         sigma2 = 10.0 ** rng.uniform(-2.0, 2.0)
         sigma_beta2 = 10.0 ** rng.uniform(-2.0, 2.0)
-        a, w, y = problem.a_matrix, problem.w, problem.y
+        a, w, y = problem.a_matrix, problem.w.to_array(), problem.y
         residual = y - a @ prior.mu
         precision = _posterior_precision(problem, prior, sigma2, sigma_beta2)
         beta_b = ar.bayes_estimate(problem, prior, sigma2, sigma_beta2).beta_hat
@@ -73,7 +73,7 @@ def test_criterion_01_identity_suite():
             beta = prior.mu + rng.standard_normal(t)
             mis = y - a @ beta
             dev = beta - prior.mu
-            q_joint = float(mis @ w @ mis) / sigma2 + float(dev @ prior.w_beta @ dev) / sigma_beta2
+            q_joint = float(mis @ w @ mis) / sigma2 + float(dev @ prior.w_beta.to_array() @ dev) / sigma_beta2
             shift = beta - beta_b
             q_split = float(shift @ precision @ shift) + remainder
             worst = max(worst, _rel(abs(q_joint - q_split), abs(q_joint)))
@@ -424,7 +424,7 @@ def test_criterion_09_dual_path_agreement():
             worst = max(worst, abs(spectral.quad_form(residual) - quad) / abs(quad))
             sd = spectral.solve(residual)
             worst = max(worst, float(np.linalg.norm(sd - solved) / np.linalg.norm(solved)))
-            trace = np.trace(np.linalg.solve(cofactor, np.linalg.inv(problem.w)))
+            trace = np.trace(np.linalg.solve(cofactor, np.linalg.inv(problem.w.to_array())))
             worst = max(worst, abs(spectral.expected_noise_quad() - trace) / abs(trace))
     elapsed = time.perf_counter() - start
     _report(
@@ -447,8 +447,8 @@ def test_criterion_10_high_precision_reference():
             workspace = ar.MarginalWorkspace(problem, prior.w_beta)
             residual = workspace.residual(prior)
             a = mp.matrix(problem.a_matrix.tolist())
-            w_inv = mp.inverse(mp.matrix(problem.w.tolist()))
-            prior_gram = a * mp.inverse(mp.matrix(prior.w_beta.tolist())) * a.T
+            w_inv = mp.inverse(mp.matrix(problem.w.to_array().tolist()))
+            prior_gram = a * mp.inverse(mp.matrix(prior.w_beta.to_array().tolist())) * a.T
             r = mp.matrix(residual.tolist())
             for k in range(-12, 13):
                 kappa = 10.0**k

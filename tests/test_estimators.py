@@ -23,7 +23,7 @@ class TestLeastSquares:
         problem, _ = random_fixture(rng, 10, 4)
         est = ar.ls_estimate(problem)
         # A^T W (y - A beta_hat) = 0
-        gradient = problem.a_matrix.T @ problem.w @ (problem.y - problem.a_matrix @ est.beta_hat)
+        gradient = problem.a_matrix.T @ problem.w.to_array() @ (problem.y - problem.a_matrix @ est.beta_hat)
         assert_allclose(gradient, np.zeros(4), atol=1e-10)
 
     def test_singular_normal_matrix_reports_condition(self):

@@ -17,14 +17,14 @@ class TestTinyFixtureValues:
         _, self.problem, self.prior, _ = tiny_fixture()
 
     def test_split_terms_at_half(self):
-        quad, logdet = ar.split_terms(self.problem, self.prior, kappa=0.5)
-        assert quad == pytest.approx(0.4, rel=1e-12)
-        assert logdet == pytest.approx(LN5, rel=1e-12)
+        value = ar.abic_case1(self.problem, self.prior, kappa=0.5)
+        assert value.quad_term == pytest.approx(0.4, rel=1e-12)
+        assert value.logdet_term == pytest.approx(LN5, rel=1e-12)
 
     def test_split_terms_at_five(self):
-        quad, logdet = ar.split_terms(self.problem, self.prior, kappa=5.0)
-        assert quad == pytest.approx(10.0 / 7.0, rel=1e-12)
-        assert logdet == pytest.approx(math.log(1.4), rel=1e-12)
+        value = ar.abic_case1(self.problem, self.prior, kappa=5.0)
+        assert value.quad_term == pytest.approx(10.0 / 7.0, rel=1e-12)
+        assert value.logdet_term == pytest.approx(math.log(1.4), rel=1e-12)
 
     def test_log_marginal(self):
         value = ar.log_marginal_density(self.problem, self.prior, 1.0, 2.0)
@@ -42,6 +42,10 @@ class TestTinyFixtureValues:
 
     def test_sigma2_hat(self):
         assert ar.sigma2_hat(self.problem, self.prior, 0.5) == pytest.approx(0.2, rel=1e-12)
+
+    def test_sigma2_hat_of_exact_fit_is_zero(self):
+        prior = ar.default_prior(1, mu=[1.0])
+        assert ar.sigma2_hat(self.problem, prior, 0.5) == 0.0
 
     def test_case1_objective(self):
         value = ar.abic_case1(self.problem, self.prior, 0.5)
@@ -62,8 +66,8 @@ class TestMarginalCovariance:
         problem, prior = random_fixture(rng, 6, 2)
         sigma2, sigma_beta2 = 0.3, 1.7
         cov = ar.marginal_covariance(problem, prior, sigma2, sigma_beta2)
-        expected = np.linalg.inv(problem.w) * sigma2 + (
-            problem.a_matrix @ np.linalg.inv(prior.w_beta) @ problem.a_matrix.T
+        expected = np.linalg.inv(problem.w.to_array()) * sigma2 + (
+            problem.a_matrix @ np.linalg.inv(prior.w_beta.to_array()) @ problem.a_matrix.T
         ) * sigma_beta2
         assert_allclose(cov, expected, rtol=1e-10)
 
@@ -72,7 +76,7 @@ class TestMarginalCovariance:
         problem, prior = random_fixture(rng, 6, 3)
         sigma2, sigma_beta2 = 0.9, 0.4
         kappa = sigma2 / sigma_beta2
-        ops = ar.build_cofactor(problem, prior.w_beta, kappa)
+        ops = ar.MarginalWorkspace(problem, prior.w_beta).operators(kappa)
         cov = ar.marginal_covariance(problem, prior, sigma2, sigma_beta2)
         # Sigma = sigma2 * E, so E^-1 Sigma / sigma2 is the identity
         assert_allclose(ops.solve(cov / sigma2), np.eye(problem.n), atol=1e-10)
@@ -81,7 +85,7 @@ class TestMarginalCovariance:
         rng = np.random.default_rng(12)
         problem, prior = random_fixture(rng, 5, 2)
         cov = ar.marginal_covariance(problem, prior, 2.0, 0.0)
-        assert_allclose(cov, np.linalg.inv(problem.w) * 2.0, rtol=1e-10)
+        assert_allclose(cov, np.linalg.inv(problem.w.to_array()) * 2.0, rtol=1e-10)
 
 
 def _dense_cofactor(problem, prior, kappa):
@@ -105,13 +109,13 @@ class TestOperatorPaths:
             assert ops.logdet == pytest.approx(np.linalg.slogdet(cofactor)[1], rel=1e-9)
             assert ops.quad_form(residual) == pytest.approx(residual @ solved, rel=1e-9)
             assert_allclose(ops.solve(residual), solved, rtol=1e-8)
-            expected_trace = np.trace(np.linalg.solve(cofactor, np.linalg.inv(problem.w)))
+            expected_trace = np.trace(np.linalg.solve(cofactor, np.linalg.inv(problem.w.to_array())))
             assert ops.expected_noise_quad() == pytest.approx(expected_trace, rel=1e-9)
 
     def test_solve_matches_matrix_inverse(self):
         rng = np.random.default_rng(15)
         problem, prior = random_fixture(rng, 7, 3)
-        ops = ar.build_cofactor(problem, prior.w_beta, 0.8)
+        ops = ar.MarginalWorkspace(problem, prior.w_beta).operators(0.8)
         rhs = rng.standard_normal(7)
         cofactor = _dense_cofactor(problem, prior, 0.8)
         assert_allclose(ops.solve(rhs), np.linalg.solve(cofactor, rhs), rtol=1e-9)
@@ -119,7 +123,7 @@ class TestOperatorPaths:
     def test_quad_form_matrix_input_is_columnwise(self):
         rng = np.random.default_rng(16)
         problem, prior = random_fixture(rng, 6, 2)
-        ops = ar.build_cofactor(problem, prior.w_beta, 2.0)
+        ops = ar.MarginalWorkspace(problem, prior.w_beta).operators(2.0)
         block = rng.standard_normal((6, 5))
         stacked = ops.quad_form(block)
         singles = np.array([ops.quad_form(block[:, j]) for j in range(5)])
@@ -128,9 +132,9 @@ class TestOperatorPaths:
     def test_expected_noise_quad_is_trace(self):
         rng = np.random.default_rng(17)
         problem, prior = random_fixture(rng, 6, 2)
-        ops = ar.build_cofactor(problem, prior.w_beta, 0.7)
+        ops = ar.MarginalWorkspace(problem, prior.w_beta).operators(0.7)
         cofactor = _dense_cofactor(problem, prior, 0.7)
-        expected = np.trace(np.linalg.solve(cofactor, np.linalg.inv(problem.w)))
+        expected = np.trace(np.linalg.solve(cofactor, np.linalg.inv(problem.w.to_array())))
         assert ops.expected_noise_quad() == pytest.approx(expected, rel=1e-10)
 
     def test_invalid_path_rejected(self):

@@ -12,7 +12,7 @@ class TestInverseProblem:
     def test_shapes_and_defaults(self):
         p = ar.InverseProblem([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.0])
         assert p.n == 3 and p.t == 2
-        assert_allclose(p.w, np.eye(3))
+        assert_allclose(p.w.to_array(), np.eye(3))
 
     def test_arrays_are_frozen(self):
         p = ar.InverseProblem([[1.0], [1.0]], [1.0, 2.0])
@@ -60,7 +60,7 @@ class TestPriorModel:
         prior = ar.default_prior(3)
         assert prior.mu_assumed_zero
         assert_allclose(prior.mu, np.zeros(3))
-        assert_allclose(prior.w_beta, np.eye(3))
+        assert_allclose(prior.w_beta.to_array(), np.eye(3))
 
     def test_explicit_mu_not_flagged(self):
         prior = ar.default_prior(2, mu=[1.0, 2.0])
@@ -71,7 +71,7 @@ class TestPriorModel:
         zeroed = prior.with_zero_mean()
         assert zeroed.mu_assumed_zero
         assert_allclose(zeroed.mu, [0.0, 0.0])
-        assert_allclose(zeroed.w_beta, prior.w_beta)
+        assert_allclose(zeroed.w_beta.to_array(), prior.w_beta.to_array())
 
     def test_mu_length_checked(self):
         with pytest.raises(ar.DimensionError):
@@ -170,9 +170,9 @@ class TestProblemFiles:
         loaded = ar.load_problem(path)
         assert_allclose(loaded.problem.a_matrix, problem.a_matrix)
         assert_allclose(loaded.problem.y, problem.y)
-        assert_allclose(loaded.problem.w, problem.w)
+        assert_allclose(loaded.problem.w.to_array(), problem.w.to_array())
         assert_allclose(loaded.prior.mu, prior.mu)
-        assert_allclose(loaded.prior.w_beta, prior.w_beta)
+        assert_allclose(loaded.prior.w_beta.to_array(), prior.w_beta.to_array())
         assert loaded.sigma2 == pytest.approx(0.25)
         assert loaded.sigma_beta2 == pytest.approx(4.0)
         assert not loaded.mu_assumed_zero
@@ -225,4 +225,4 @@ class TestProblemFiles:
         ar.save_problem(path, problem, prior)
         loaded = ar.load_problem(path)
         assert np.array_equal(loaded.problem.a_matrix, problem.a_matrix)
-        assert np.array_equal(loaded.problem.w, problem.w)
+        assert np.array_equal(loaded.problem.w.to_array(), problem.w.to_array())
