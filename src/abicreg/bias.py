@@ -19,6 +19,11 @@ keep beta fixed at the ground truth. The kappa-hat study pairs both
 analysis modes on identical fixed-truth draws, since the question there
 is what the zero-mean shortcut does to the same data.
 
+The replicates of a study share one MarginalWorkspace. The kappa-hat
+study selects kappa for its n x R block of measurements in one lockstep
+search per mode (selection.select_columns); each column's choice is
+bit-identical to select_case1/select_case2 on that replicate alone.
+
 Per-replicate randomness comes from a counter construction: replicate r
 uses PCG64 seeded with SeedSequence(seed, spawn_key=(r,)), so replicates
 are order-independent and safe to parallelize. The noise draw always
@@ -28,14 +33,14 @@ that share a replicate index.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AbicregError, DomainError, EvaluationError
-from .marginal import MarginalWorkspace
+from .errors import DomainError, EvaluationError
+from .marginal import MarginalObjective, MarginalWorkspace
 from .model import as_weight
-from .selection import DEFAULT_BRACKET, DEFAULT_REL_TOL, BoundaryFlag, select_case1, select_case2
+from .selection import DEFAULT_BRACKET, DEFAULT_REL_TOL, BoundaryFlag, select_columns
 
 __all__ = [
     "RNG_DESCRIPTION",
@@ -47,7 +52,6 @@ __all__ = [
     "replicate_stream",
     "draw_noise",
     "expected_sigma2_terms",
-    "expected_sigma2_mu_zero",
     "mc_sigma2_study",
     "mc_kappa_study",
 ]
@@ -96,18 +100,7 @@ class BiasReport:
     rng: str = RNG_DESCRIPTION
 
     def to_json(self):
-        return {
-            "analytic_expectation": self.analytic_expectation,
-            "mc_mean": self.mc_mean,
-            "mc_std_error": self.mc_std_error,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "kappa_used": self.kappa_used,
-            "true_sigma2": self.true_sigma2,
-            "mu_mode": self.mu_mode.value,
-            "sampling": self.sampling,
-            "rng": self.rng,
-        }
+        return {**asdict(self), "mu_mode": self.mu_mode.value}
 
 
 def expected_sigma2_terms(design, ground_truth, sigma2, kappa, w_beta=None):
@@ -124,12 +117,6 @@ def expected_sigma2_terms(design, ground_truth, sigma2, kappa, w_beta=None):
     signal = ops.quad_form(ground_truth.y_bar) / design.n
     noise = ops.expected_noise_quad() * sigma2 / design.n
     return signal, noise
-
-
-def expected_sigma2_mu_zero(design, ground_truth, sigma2, kappa, w_beta=None):
-    """Expectation of the zero-prior-mean variance estimate at fixed kappa."""
-    signal, noise = expected_sigma2_terms(design, ground_truth, sigma2, kappa, w_beta)
-    return signal + noise
 
 
 def _noise_block(design, sigma2, seed, replicates, extra_draws=0):
@@ -164,8 +151,8 @@ def mc_sigma2_study(
     TrueMu mode draws beta from the prior (with sigma_beta2 =
     sigma2/kappa) plus noise and analyzes with mu; its analytic
     expectation is sigma2 itself. ZeroMu mode holds beta at the ground
-    truth, analyzes with mu = 0, and compares against
-    expected_sigma2_mu_zero.
+    truth, analyzes with mu = 0, and compares against the sum of
+    expected_sigma2_terms.
     """
     mu_mode = MuMode(mu_mode)
     if replicates < MIN_REPLICATES:
@@ -190,7 +177,8 @@ def mc_sigma2_study(
         eps, _ = _noise_block(design, sigma2, seed, replicates)
         # mu = 0, so the residual is the measurement vector itself
         residuals = ground_truth.y_bar[:, None] + eps
-        analytic = expected_sigma2_mu_zero(design, ground_truth, sigma2, kappa, prior.w_beta)
+        signal, noise = expected_sigma2_terms(design, ground_truth, sigma2, kappa, prior.w_beta)
+        analytic = signal + noise
         sampling = "fixed-truth"
 
     estimates = ops.quad_form(residuals) / n
@@ -223,13 +211,7 @@ class QuantileSummary:
         return cls(*(float(q) for q in qs))
 
     def to_json(self):
-        return {
-            "q05": self.q05,
-            "q25": self.q25,
-            "q50": self.q50,
-            "q75": self.q75,
-            "q95": self.q95,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -241,13 +223,7 @@ class ModeSummary:
     failures: int
 
     def to_json(self):
-        return {
-            "kappa_hat": self.kappa_hat.to_json(),
-            "sigma2_hat": self.sigma2_hat.to_json(),
-            "sigma_beta2_hat": self.sigma_beta2_hat.to_json(),
-            "boundary_fraction": self.boundary_fraction,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -269,16 +245,7 @@ class KappaStudyReport:
     rng: str = RNG_DESCRIPTION
 
     def to_json(self):
-        return {
-            "true_mu": self.true_mu.to_json(),
-            "zero_mu": self.zero_mu.to_json(),
-            "median_kappa_hat_difference": self.median_kappa_hat_difference,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "case": self.case,
-            "true_sigma2": self.true_sigma2,
-            "rng": self.rng,
-        }
+        return asdict(self)
 
 
 def mc_kappa_study(
@@ -295,9 +262,12 @@ def mc_kappa_study(
     """Distribution of the selected hyperparameters under both mu modes.
 
     Every replicate draws one fixed-truth measurement vector
-    y = ybar + eps and runs the full selection twice: once with the
-    supplied prior and once with its mean zeroed. Optimizer failures are
-    counted per mode, never silently dropped.
+    y = ybar + eps, and kappa is selected for it twice: once with the
+    supplied prior and once with its mean zeroed. Each mode is one
+    lockstep search over all replicates on one shared workspace. A
+    replicate fails when more than half its grid is non-finite (in Case
+    1 also when its residual is zero); failures are counted per mode,
+    never silently dropped.
     """
     if replicates < MIN_REPLICATES:
         raise DomainError(f"replicates must be at least {MIN_REPLICATES}, got {replicates}")
@@ -306,47 +276,31 @@ def mc_kappa_study(
     if not sigma2 > 0:
         raise DomainError(f"sigma2 must be positive, got {sigma2}")
     eps, _ = _noise_block(design, sigma2, seed, replicates)
-    priors = {MuMode.TRUE_MU: prior, MuMode.ZERO_MU: prior.with_zero_mean()}
-    samples = {
-        mode: {"kappa_hat": [], "sigma2_hat": [], "sigma_beta2_hat": [], "boundary": 0, "failures": 0}
-        for mode in priors
-    }
-    for r in range(replicates):
-        problem = design.with_observations(ground_truth.y_bar + eps[:, r])
-        for mode, mode_prior in priors.items():
-            bucket = samples[mode]
-            try:
-                if case == 1:
-                    result = select_case1(problem, mode_prior, log10_bracket, rel_tol)
-                else:
-                    result = select_case2(problem, mode_prior, sigma2, log10_bracket, rel_tol)
-            except AbicregError:
-                bucket["failures"] += 1
-                continue
-            bucket["kappa_hat"].append(result.kappa_hat)
-            bucket["sigma2_hat"].append(result.sigma2_hat)
-            bucket["sigma_beta2_hat"].append(result.sigma_beta2_hat)
-            if result.boundary_flag is not BoundaryFlag.INTERIOR:
-                bucket["boundary"] += 1
+    observations = ground_truth.y_bar[:, None] + eps
+    workspace = MarginalWorkspace(design.with_observations(ground_truth.y_bar), prior.w_beta)
+    known = None if case == 1 else sigma2
 
-    summaries = {}
-    for mode, bucket in samples.items():
-        successes = len(bucket["kappa_hat"])
-        if successes == 0:
+    def summary(mode, mode_prior):
+        objective = MarginalObjective(workspace, mode_prior, known, observations)
+        found = select_columns(objective, log10_bracket, rel_tol)
+        ok = ~found.failed
+        if not ok.any():
             raise EvaluationError(f"selection failed on every replicate in {mode.value} mode")
-        summaries[mode] = ModeSummary(
-            kappa_hat=QuantileSummary.from_samples(bucket["kappa_hat"]),
-            sigma2_hat=QuantileSummary.from_samples(bucket["sigma2_hat"]),
-            sigma_beta2_hat=QuantileSummary.from_samples(bucket["sigma_beta2_hat"]),
-            boundary_fraction=bucket["boundary"] / successes,
-            failures=bucket["failures"],
+        kappa_hat, sigma2_hat = found.kappa_hat[ok], found.sigma2_hat[ok]
+        return ModeSummary(
+            kappa_hat=QuantileSummary.from_samples(kappa_hat),
+            sigma2_hat=QuantileSummary.from_samples(sigma2_hat),
+            sigma_beta2_hat=QuantileSummary.from_samples(sigma2_hat / kappa_hat),
+            boundary_fraction=float(np.mean(found.boundary_flag[ok] != BoundaryFlag.INTERIOR)),
+            failures=int(np.sum(found.failed)),
         )
+
+    true_mu = summary(MuMode.TRUE_MU, prior)
+    zero_mu = summary(MuMode.ZERO_MU, prior.with_zero_mean())
     return KappaStudyReport(
-        true_mu=summaries[MuMode.TRUE_MU],
-        zero_mu=summaries[MuMode.ZERO_MU],
-        median_kappa_hat_difference=(
-            summaries[MuMode.ZERO_MU].kappa_hat.q50 - summaries[MuMode.TRUE_MU].kappa_hat.q50
-        ),
+        true_mu=true_mu,
+        zero_mu=zero_mu,
+        median_kappa_hat_difference=zero_mu.kappa_hat.q50 - true_mu.kappa_hat.q50,
         replicates=int(replicates),
         seed=int(seed),
         case=int(case),

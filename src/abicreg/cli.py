@@ -403,9 +403,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except CliConfigError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
-    except (DimensionError, DomainError) as exc:
+    except (CliConfigError, DimensionError, DomainError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     except json.JSONDecodeError as exc:
         return _fail(EXIT_CONFIG, "config", f"invalid JSON: {exc}")

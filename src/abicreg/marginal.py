@@ -33,6 +33,13 @@ kappa costs O(t). |z - U c|^2 is the squared norm of the explicit
 difference, never |z|^2 - |c|^2, which cancels catastrophically when r
 lies almost in the range of A.
 
+One workspace serves every residual of a design. MarginalObjective
+projects an n x R residual block once; K kappas for all R columns are
+then one (K x t) by (t x R) product. Its einsum reductions run along
+contiguous rows, so a column rounds as it would alone and a Monte Carlo
+replicate equals its single selection bit for bit. MarginalOperators
+keeps the faster BLAS projection, whose rounding depends on the block.
+
 All objectives drop the constant -(n/2) ln(2 pi) normalization term; the
 full log density is available from log_marginal_density.
 """
@@ -40,7 +47,7 @@ full log density is available from log_marginal_density.
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
@@ -59,6 +66,7 @@ __all__ = [
     "MarginalObjective",
     "SweepRow",
     "kappa_grid",
+    "log10_to_kappa",
     "marginal_covariance",
     "log_marginal_density",
     "neg_log_lik_variances",
@@ -83,11 +91,13 @@ class ObjectiveCase(enum.Enum):
 
 @dataclass(frozen=True)
 class ObjectiveValue:
-    """One objective evaluation, split into its two competing terms.
+    """Objective evaluations, split into their two competing terms.
 
     ``quad_term`` is always the raw quadratic form r^T E^-1 r; the case
     formula decides how it enters ``total`` (through n ln(quad) for
     Case 1, through quad/sigma2 for Case 2 where sigma2 is known).
+    MarginalObjective returns arrays that broadcast to the shape of
+    ``total``; abic_case1 and abic_case2 return floats.
     """
 
     total: float
@@ -121,10 +131,7 @@ class MarginalOperators:
 
     def quad_form(self, residual):
         """r^T E^-1 r; columns are handled independently for a matrix input."""
-        return self.projected_quad(*self._ws.project(residual))
-
-    def projected_quad(self, perp, coef):
-        """r^T E^-1 r from the pair ``workspace.project(r)`` returns."""
+        perp, coef = self._ws.project(residual)
         if coef.ndim == 1:
             return perp + float(self._damping @ (coef * coef))
         return perp + np.einsum("i,ij,ij->j", self._damping, coef, coef)
@@ -181,6 +188,15 @@ class MarginalWorkspace:
         perp = blas.dgemm(-1.0, coef.T, self.u, beta=1.0, c=z.T, trans_b=True, overwrite_c=True)
         return np.einsum("ij,ij->i", perp, perp), coef
 
+    def project_rows(self, rows):
+        """(|z - U c|^2, c) for each row r of an R x n block, (R,) and (R, t);
+        each row's result is bit-identical to projecting that row alone."""
+        z = self.w.mul_lower_rows(rows)
+        u_rows = self.u.T  # C-ordered t x n view of the Fortran-ordered U
+        coef = np.einsum("rn,in->ri", z, u_rows)
+        z -= np.einsum("ri,in->rn", coef, u_rows)
+        return np.einsum("rn,rn->r", z, z), coef
+
 
 def _case_tag(prior, case1):
     zero_mean = not np.any(prior.mu)
@@ -190,56 +206,99 @@ def _case_tag(prior, case1):
 
 
 class MarginalObjective:
-    """The Case-1 or Case-2 objective of one residual, as a function of kappa.
+    """The Case-1 or Case-2 objective of R residuals, as a function of kappa.
 
-    Without ``sigma2`` (Case 1, both variances unknown) a call returns
+    Without ``sigma2`` (Case 1, both variances unknown) the objective is
     n ln(r^T E^-1 r) + ln det E; minimizing it and reading the variance
     off r^T E^-1 r / n is the both-variances-unknown selection rule.
-    With a known ``sigma2`` (Case 2) it returns
-    r^T E^-1 r / sigma2 + ln det E. The residual r = y - A mu is
-    projected once, so each call costs O(t).
+    With a known ``sigma2`` (Case 2) it is r^T E^-1 r / sigma2 + ln det E.
+
+    The residuals r = y - A mu are the problem's own (R = 1) or one per
+    column of an n x R block of ``observations``, projected once.
+
+    Case 1 sees the scale of r only through 2n ln s for any s > 0, so
+    ``search_total`` is the objective of r/s, s the smallest power of two
+    above max |r|: the division is exact and stays in the float range.
+    ``offset`` holds 2n ln s per column; ``__call__`` adds it back.
     """
 
-    def __init__(self, workspace, prior, sigma2=None):
+    def __init__(self, workspace, prior, sigma2=None, observations=None):
         if sigma2 is not None and not sigma2 > 0:
             raise DomainError(f"sigma2 must be positive, got {sigma2}")
         self.workspace = workspace
         self.sigma2 = None if sigma2 is None else float(sigma2)
         self.case_tag = _case_tag(prior, case1=sigma2 is None)
-        residual = workspace.residual(prior)
-        self._scale = 1.0
+        y = workspace.problem.y if observations is None else np.asarray(observations, dtype=float)
+        rows = np.atleast_2d(np.ascontiguousarray(y.T - workspace.problem.a_matrix @ prior.mu))
+        self.columns = rows.shape[0]
+        exponent = np.zeros(self.columns, dtype=int)
         if sigma2 is None:
-            # Case 1 sees the scale of r only through 2n ln|r|: taking the
-            # quadratic form of r/|r| keeps it inside the float range
-            self._scale = float(la.norm(residual))
-            if self._scale == 0.0:
-                raise DegenerateProblemError(
-                    "y equals A mu exactly; the Case-1 objective takes log of zero"
-                )
-            residual = residual / self._scale
-        self._projection = workspace.project(residual)
+            # a zero column of a block gives quad = 0 at every kappa and fails its search
+            largest = np.max(np.abs(rows), axis=1)
+            if observations is None and not largest[0] > 0.0:
+                raise DegenerateProblemError("y equals A mu exactly; Case 1 takes log of zero")
+            _, exponent = np.frexp(largest)
+        self._scale = np.ldexp(1.0, exponent)
+        rows = rows / self._scale[:, None]
+        self.offset = (2.0 * workspace.n * math.log(2.0)) * exponent
+        self._perp, coef = workspace.project_rows(rows)
+        self._coef2 = coef * coef
 
-    def __call__(self, kappa):
-        ops = self.workspace.operators(kappa)
-        quad = ops.projected_quad(*self._projection)
-        if self.sigma2 is None:
-            # quad underflows to 0 only for kappa near the smallest float
-            total = math.inf
-            if quad > 0.0:
-                log_quad = math.log(quad) + 2.0 * math.log(self._scale)
-                total = self.workspace.n * log_quad + ops.logdet
-            quad = quad * self._scale * self._scale
+    def _terms(self, kappa, columns):
+        """(quad of the scaled residuals, ln det E, objective without offset)."""
+        s2 = self.workspace.s2
+        kappa = kappa[:, None]
+        logdet = np.log1p(s2 / kappa).sum(axis=1) - self.workspace.w.logdet
+        damping = kappa / (s2 + kappa)
+        if columns is None:
+            quad = self._perp + np.einsum("ki,ri->kr", damping, self._coef2)
+            logdet = logdet[:, None]
         else:
-            total = quad / self.sigma2 + ops.logdet
-        return ObjectiveValue(total, quad, ops.logdet, ops.kappa, self.case_tag, self.sigma2)
+            quad = self._perp[columns] + np.einsum("ki,ki->k", damping, self._coef2[columns])
+        if self.sigma2 is not None:
+            return quad, logdet, quad / self.sigma2 + logdet
+        # quad underflows to 0 only for kappa near the smallest float
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total = np.where(quad > 0.0, self.workspace.n * np.log(quad) + logdet, np.inf)
+        return quad, logdet, total
+
+    def search_total(self, kappa, columns=None):
+        """The objective without ``offset`` at a 1-D array of K kappas: (K, R)
+        for every column, or (K,) for kappa[j] on column columns[j]."""
+        return self._terms(np.asarray(kappa, dtype=float), columns)[2]
+
+    def __call__(self, kappa, columns=None):
+        """ObjectiveValue of arrays shaped as in ``search_total``."""
+        kappa = np.asarray(kappa, dtype=float)
+        if not np.all(kappa > 0):
+            raise DomainError(f"kappa must be positive, got {kappa}")
+        quad, logdet, total = self._terms(kappa, columns)
+        if columns is None:
+            columns, kappa = slice(None), kappa[:, None]
+        scale, total = self._scale[columns], total + self.offset[columns]
+        quad = quad * scale * scale
+        return ObjectiveValue(total, quad, logdet, kappa, self.case_tag, self.sigma2)
+
+
+def _at(objective, kappa):
+    """The objective of a problem's own residual at one kappa, with float fields."""
+    value = objective([kappa])
+    fields = ("total", "quad_term", "logdet_term", "kappa")
+    return replace(value, **{name: float(getattr(value, name)[0, 0]) for name in fields})
+
+
+def log10_to_kappa(log10_kappa):
+    """10.0 ** x for each x of a 1-D array, the one conversion of every grid and
+    search: Python's float power, which np.power does not match on all x."""
+    return np.array([10.0**x for x in np.asarray(log10_kappa, dtype=float).tolist()])
 
 
 def kappa_grid(log10_bracket, points):
     """Log-uniform grid over a log10 kappa bracket: (log10 values, kappas).
 
-    Each kappa is 10.0 ** g for its grid value g. Both bracket ends must
-    lie in the normal floating-point range, so that 10 ** x neither
-    overflows nor underflows.
+    Both are arrays; each kappa is log10_to_kappa(g) for its grid value
+    g. Both bracket ends must lie in the normal floating-point range, so
+    that 10 ** x neither overflows nor underflows.
     """
     lo, hi = float(log10_bracket[0]), float(log10_bracket[1])
     if not lo < hi:
@@ -252,7 +311,7 @@ def kappa_grid(log10_bracket, points):
     if points < 2:
         raise DomainError(f"need at least 2 grid points, got {points}")
     logs = np.linspace(lo, hi, points)
-    return logs, [10.0 ** float(g) for g in logs]
+    return logs, log10_to_kappa(logs)
 
 
 def marginal_covariance(problem, prior, sigma2, sigma_beta2):
@@ -321,12 +380,12 @@ def abic_case1(problem, prior, kappa):
     unconcentrated objective relates by
     neg_log_lik_kappa(sigma2_hat(kappa), kappa) = total + n - n ln n.
     """
-    return MarginalObjective(MarginalWorkspace(problem, prior.w_beta), prior)(kappa)
+    return _at(MarginalObjective(MarginalWorkspace(problem, prior.w_beta), prior), kappa)
 
 
 def abic_case2(problem, prior, sigma2, kappa):
     """Known-sigma2 objective r^T E^-1 r / sigma2 + ln det E."""
-    return MarginalObjective(MarginalWorkspace(problem, prior.w_beta), prior, sigma2)(kappa)
+    return _at(MarginalObjective(MarginalWorkspace(problem, prior.w_beta), prior, sigma2), kappa)
 
 
 @dataclass(frozen=True)
@@ -341,14 +400,7 @@ class SweepRow:
 SWEEP_HEADER = "kappa,quad_term,logdet_term,objective,case"
 
 
-def sweep_objective(
-    problem,
-    prior,
-    case=1,
-    sigma2=None,
-    log10_bracket=(-12.0, 12.0),
-    points=97,
-):
+def sweep_objective(problem, prior, case=1, sigma2=None, log10_bracket=(-12.0, 12.0), points=97):
     """Evaluate one ABIC objective on a log-uniform kappa grid.
 
     Returns one SweepRow per grid point; the trace behind the
@@ -358,14 +410,10 @@ def sweep_objective(
     if case == 2 and sigma2 is None:
         raise DomainError("case 2 requires a known sigma2")
     workspace = MarginalWorkspace(problem, prior.w_beta)
-    objective = MarginalObjective(workspace, prior, sigma2 if case == 2 else None)
-    rows = []
-    for kappa in kappas:
-        value = objective(kappa)
-        rows.append(
-            SweepRow(kappa, value.quad_term, value.logdet_term, value.total, value.case_tag.value)
-        )
-    return rows
+    value = MarginalObjective(workspace, prior, sigma2 if case == 2 else None)(kappas)
+    columns = (kappas, value.quad_term[:, 0], value.logdet_term[:, 0], value.total[:, 0])
+    rows = zip(*(column.tolist() for column in columns))
+    return [SweepRow(*row, value.case_tag.value) for row in rows]
 
 
 def write_sweep_csv(path, rows):
@@ -373,15 +421,5 @@ def write_sweep_csv(path, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(SWEEP_HEADER + "\n")
         for row in rows:
-            handle.write(
-                ",".join(
-                    (
-                        serialize.format_float(row.kappa),
-                        serialize.format_float(row.quad_term),
-                        serialize.format_float(row.logdet_term),
-                        serialize.format_float(row.objective),
-                        row.case,
-                    )
-                )
-                + "\n"
-            )
+            numbers = (row.kappa, row.quad_term, row.logdet_term, row.objective)
+            handle.write(",".join([*map(serialize.format_float, numbers), row.case]) + "\n")

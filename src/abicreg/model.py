@@ -31,7 +31,6 @@ __all__ = [
     "InverseProblem",
     "ProblemDesign",
     "PriorModel",
-    "Hyperparameters",
     "GroundTruth",
     "ValidationCheck",
     "ValidationReport",
@@ -54,11 +53,15 @@ def _finite(arr, name):
     return arr
 
 
-def _as_vector(value, name, length=None):
+def _numeric(value, name):
     try:
-        arr = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DimensionError(f"{name} is not a numeric array: {exc}") from exc
+
+
+def _as_vector(value, name, length=None):
+    arr = _numeric(value, name)
     if arr.ndim != 1:
         raise DimensionError(f"{name} must be a 1-d vector, got shape {arr.shape}")
     if length is not None and arr.shape[0] != length:
@@ -67,10 +70,7 @@ def _as_vector(value, name, length=None):
 
 
 def _as_square(value, name, size=None):
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DimensionError(f"{name} is not a numeric array: {exc}") from exc
+    arr = _numeric(value, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"{name} must be a square matrix, got shape {arr.shape}")
     if size is not None and arr.shape[0] != size:
@@ -85,10 +85,7 @@ def _freeze(arr):
 
 
 def _as_design(value):
-    try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DimensionError(f"a_matrix is not a numeric array: {exc}") from exc
+    a = _numeric(value, "a_matrix")
     if a.ndim != 2:
         raise DimensionError(f"a_matrix must be 2-d, got shape {a.shape}")
     n, t = a.shape
@@ -146,6 +143,13 @@ class Weight:
             return np.array(x, dtype=float, order="C")
         lower = self._factor()
         return (lower.T if trans else lower) @ np.asarray(x, dtype=float)
+
+    def mul_lower_rows(self, rows):
+        """rows @ L, i.e. (L^T r)^T for each row r, as a new C-ordered array;
+        by einsum, not BLAS, so each row rounds exactly as it would alone."""
+        if self.matrix is None:
+            return np.array(rows, dtype=float, order="C")
+        return np.einsum("rn,nm->rm", rows, self._factor(), order="C")
 
     def solve_lower(self, x, trans=False):
         """L^-1 x, or L^-T x with ``trans``; x itself for the identity."""
@@ -286,43 +290,6 @@ def default_prior(t, mu=None, w_beta=None, sigma_beta2=None):
 
 
 @dataclass(frozen=True)
-class Hyperparameters:
-    """Variance components (sigma2, kappa) with kappa = sigma2/sigma_beta2."""
-
-    sigma2: float
-    kappa: float
-    sigma_beta2: float = None
-
-    def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
-        if not self.kappa > 0:
-            raise DomainError(f"kappa must be positive, got {self.kappa}")
-        if self.sigma_beta2 is not None:
-            if not self.sigma_beta2 > 0:
-                raise DomainError(f"sigma_beta2 must be positive, got {self.sigma_beta2}")
-            expected = self.sigma2 / self.sigma_beta2
-            if abs(self.kappa - expected) > 1e-12 * max(abs(self.kappa), abs(expected)):
-                raise DomainError(
-                    "inconsistent hyperparameters: kappa="
-                    f"{self.kappa!r} but sigma2/sigma_beta2={expected!r}"
-                )
-
-    @classmethod
-    def from_variances(cls, sigma2, sigma_beta2):
-        if not sigma_beta2 > 0:
-            raise DomainError(f"sigma_beta2 must be positive, got {sigma_beta2}")
-        return cls(sigma2, sigma2 / sigma_beta2, sigma_beta2)
-
-    @property
-    def prior_variance(self):
-        """sigma_beta2, derived from kappa when not stored explicitly."""
-        if self.sigma_beta2 is not None:
-            return self.sigma_beta2
-        return self.sigma2 / self.kappa
-
-
-@dataclass(frozen=True)
 class GroundTruth:
     """True parameters and the noise-free measurements they generate."""
 
@@ -387,6 +354,13 @@ def _symmetry_check(weight, name):
     )
 
 
+def _rank_test(problem):
+    """(largest, smallest singular value of A, the rank-deficiency threshold)."""
+    singular_values = la.svdvals(problem.a_matrix)
+    smax, smin = float(singular_values[0]), float(singular_values[-1])
+    return smax, smin, RANK_TOL_FACTOR * np.finfo(float).eps * smax
+
+
 def validate_problem(problem, prior):
     """Run every structural invariant and report each one pass/fail.
 
@@ -398,28 +372,19 @@ def validate_problem(problem, prior):
         raise DimensionError(
             f"mu has length {prior.t} but a_matrix has {problem.t} columns"
         )
-    checks = []
-    checks.append(
-        ValidationCheck(
-            "n_ge_t",
-            problem.n >= problem.t,
-            f"n={problem.n}, t={problem.t}",
-        )
-    )
-    singular_values = la.svdvals(problem.a_matrix)
-    smax, smin = float(singular_values[0]), float(singular_values[-1])
-    threshold = RANK_TOL_FACTOR * np.finfo(float).eps * smax
-    checks.append(
+    smax, smin, threshold = _rank_test(problem)
+    checks = [
+        ValidationCheck("n_ge_t", problem.n >= problem.t, f"n={problem.n}, t={problem.t}"),
         ValidationCheck(
             "a_full_column_rank",
             smin > threshold,
             f"smallest singular value {smin:.3e}, threshold {threshold:.3e}",
-        )
-    )
-    checks.append(_symmetry_check(problem.w, "w"))
-    checks.append(_pd_check(problem.w, "w"))
-    checks.append(_symmetry_check(prior.w_beta, "w_beta"))
-    checks.append(_pd_check(prior.w_beta, "w_beta"))
+        ),
+        _symmetry_check(problem.w, "w"),
+        _pd_check(problem.w, "w"),
+        _symmetry_check(prior.w_beta, "w_beta"),
+        _pd_check(prior.w_beta, "w_beta"),
+    ]
     if prior.sigma_beta2 is not None:
         checks.append(
             ValidationCheck(
@@ -437,9 +402,8 @@ def condition_estimate(problem):
     Numerically rank-deficient designs are flagged with
     RankDeficiencyWarning and the ratio is still returned as computed.
     """
-    singular_values = la.svdvals(problem.a_matrix)
-    smax, smin = float(singular_values[0]), float(singular_values[-1])
-    if smin <= RANK_TOL_FACTOR * np.finfo(float).eps * smax:
+    smax, smin, threshold = _rank_test(problem)
+    if smin <= threshold:
         warnings.warn(
             f"a_matrix is numerically rank deficient (smallest singular value {smin:.3e})",
             RankDeficiencyWarning,

@@ -9,7 +9,7 @@ the same matrices on a given platform.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,13 +64,7 @@ class GeneratorSpec:
                 raise DomainError(f"decay must be nonnegative, got {self.decay}")
 
     def to_json(self):
-        return {
-            "kind": self.kind.value,
-            "n": self.n,
-            "t": self.t,
-            "decay": self.decay,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "kind": self.kind.value}
 
 
 def _hump(x):

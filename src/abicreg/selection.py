@@ -5,8 +5,12 @@ uniform grid in log10 kappa, then refine the bracketing triple of the
 grid minimum by golden-section search. A minimum on the first or last
 grid point is reported with a boundary flag instead of refined, because
 an edge optimum usually means the bracket, not the data, chose it.
-There is no randomness anywhere in this module; identical inputs give
-bit-identical results.
+
+One loop does this for R objectives in lockstep: one grid evaluation of
+all R columns, then refinement steps that move every column still wider
+than the tolerance. A column's steps depend only on its own values, so
+select_case1 (R = 1) and a study of R replicates choose alike. There is
+no randomness here; identical inputs give bit-identical results.
 """
 
 import enum
@@ -14,8 +18,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DomainError, EvaluationError
-from .marginal import MarginalObjective, MarginalWorkspace, ObjectiveCase, kappa_grid
+from .marginal import MarginalObjective, MarginalWorkspace, ObjectiveCase
+from .marginal import kappa_grid, log10_to_kappa
 
 __all__ = [
     "GRID_POINTS",
@@ -24,7 +31,9 @@ __all__ = [
     "BoundaryFlag",
     "ScalarMinimum",
     "SelectionResult",
+    "ColumnMinima",
     "minimize_scalar",
+    "select_columns",
     "select_case1",
     "select_case2",
 ]
@@ -86,99 +95,135 @@ class SelectionResult:
         }
 
 
-def _as_finite(value):
-    value = float(value)
-    return value if math.isfinite(value) else math.inf
+class ColumnMinima(NamedTuple):
+    """One lockstep search over R columns, as arrays: ``values`` is the
+    (K, R) grid objective, +inf where it was not finite. A column fails
+    when more than half of its grid is non-finite."""
+
+    kappa_hat: np.ndarray
+    objective_at_min: np.ndarray
+    boundary_flag: np.ndarray
+    kappas: np.ndarray
+    values: np.ndarray
+    failed: np.ndarray
+    sigma2_hat: np.ndarray = None
+
+    def scalar(self, column=0):
+        """ScalarMinimum of one column; raises EvaluationError if it failed."""
+        if self.failed[column]:
+            bad = int(np.sum(np.isinf(self.values[:, column])))
+            raise EvaluationError(f"objective non-finite at {bad} of {GRID_POINTS} grid points")
+        trace = tuple(zip(self.kappas.tolist(), self.values[:, column].tolist()))
+        kappa_hat, at_min = float(self.kappa_hat[column]), float(self.objective_at_min[column])
+        return ScalarMinimum(kappa_hat, self.boundary_flag[column], trace, at_min)
 
 
-def minimize_scalar(objective, log10_bracket=DEFAULT_BRACKET, rel_tol=DEFAULT_REL_TOL):
-    """Grid-then-golden-section minimization of a function of kappa.
+def _as_finite(values):
+    return np.where(np.isfinite(values), values, np.inf)
 
-    Parameters
-    ----------
-    objective : callable
-        Maps kappa > 0 to a float; may return inf/nan where undefined.
-    log10_bracket : (float, float)
-        Search interval in log10 kappa, lower < upper.
-    rel_tol : float
-        Target relative tolerance on kappa for the refinement stage.
 
-    Returns a ScalarMinimum. Grid ties break toward smaller kappa; an
-    edge minimum is returned unrefined with the matching boundary flag.
-    Raises EvaluationError when the objective is non-finite on more than
-    half of the grid.
+def _search(objective, columns, log10_bracket, rel_tol):
+    """Grid-then-golden-section minimization of R functions of kappa in lockstep.
+
+    ``objective`` works as MarginalObjective.search_total. Grid ties break
+    toward smaller kappa; an edge minimum is returned unrefined.
     """
     grid, kappas = kappa_grid(log10_bracket, GRID_POINTS)
     if not rel_tol > 0:
         raise DomainError(f"rel_tol must be positive, got {rel_tol}")
+    values = _as_finite(objective(kappas, None))
+    failed = 2 * np.sum(np.isinf(values), axis=0) > GRID_POINTS
+    # argmin takes the first minimal index: the smallest kappa among ties
+    index = np.argmin(values, axis=0)
+    best_log = grid[index]
+    best_val = values[index, np.arange(columns)]
+    cols = np.flatnonzero((index > 0) & (index < GRID_POINTS - 1) & ~failed)
 
-    values = [_as_finite(objective(kappa)) for kappa in kappas]
-    bad = sum(1 for v in values if not math.isfinite(v))
-    if 2 * bad > GRID_POINTS:
-        raise EvaluationError(
-            f"objective non-finite at {bad} of {GRID_POINTS} grid points"
-        )
-    trace = tuple((kappas[i], values[i]) for i in range(GRID_POINTS))
+    def evaluate(points, at):
+        value = _as_finite(objective(log10_to_kappa(points), cols[at]))
+        better = value < best_val[cols[at]]
+        best_log[cols[at[better]]] = points[better]
+        best_val[cols[at[better]]] = value[better]
+        return value
 
-    # first minimal index = smallest kappa among ties
-    idx = min(range(GRID_POINTS), key=lambda i: (values[i], i))
-    if idx == 0:
-        return ScalarMinimum(kappas[0], BoundaryFlag.LOWER_EDGE, trace, values[0])
-    if idx == GRID_POINTS - 1:
-        return ScalarMinimum(kappas[-1], BoundaryFlag.UPPER_EDGE, trace, values[-1])
-
-    # golden-section refinement on the bracketing triple, in log10 space
-    a, b = float(grid[idx - 1]), float(grid[idx + 1])
-    best_log, best_val = float(grid[idx]), values[idx]
-    width_tol = math.log10(1.0 + rel_tol)
+    # golden-section refinement on each bracketing triple, in log10 space
+    a, b = grid[index[cols] - 1], grid[index[cols] + 1]
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = _as_finite(objective(10.0 ** c))
-    fd = _as_finite(objective(10.0 ** d))
-    for point, value in ((c, fc), (d, fd)):
-        if value < best_val:
-            best_log, best_val = point, value
+    every = np.arange(cols.size)
+    fc = evaluate(c, every)
+    fd = evaluate(d, every)
+    width_tol = math.log10(1.0 + rel_tol)
+    live = every[(b - a) > width_tol]
     steps = 0
-    while (b - a) > width_tol and steps < _MAX_REFINE_STEPS:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = _as_finite(objective(10.0 ** c))
-            if fc < best_val:
-                best_log, best_val = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = _as_finite(objective(10.0 ** d))
-            if fd < best_val:
-                best_log, best_val = d, fd
+    while live.size and steps < _MAX_REFINE_STEPS:
+        left = fc[live] < fd[live]
+        lo = np.where(left, a[live], c[live])
+        hi = np.where(left, d[live], b[live])
+        kept = np.where(left, c[live], d[live])
+        f_kept = np.where(left, fc[live], fd[live])
+        new = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
+        f_new = evaluate(new, live)
+        a[live], b[live] = lo, hi
+        c[live], d[live] = np.where(left, new, kept), np.where(left, kept, new)
+        fc[live], fd[live] = np.where(left, f_new, f_kept), np.where(left, f_kept, f_new)
+        live = live[(hi - lo) > width_tol]
         steps += 1
-    return ScalarMinimum(10.0 ** best_log, BoundaryFlag.INTERIOR, trace, best_val)
+    flags = np.full(columns, BoundaryFlag.INTERIOR)
+    flags[index == 0] = BoundaryFlag.LOWER_EDGE
+    flags[index == GRID_POINTS - 1] = BoundaryFlag.UPPER_EDGE
+    return ColumnMinima(log10_to_kappa(best_log), best_val, flags, kappas, values, failed)
+
+
+def minimize_scalar(objective, log10_bracket=DEFAULT_BRACKET, rel_tol=DEFAULT_REL_TOL):
+    """Grid-then-golden-section minimization of ``objective``, which maps kappa > 0
+    to a float (inf or nan where undefined), over ``log10_bracket`` to relative
+    tolerance ``rel_tol`` on kappa: the lockstep search with R = 1. Returns a
+    ScalarMinimum; raises EvaluationError when over half the grid is non-finite."""
+
+    def lifted(kappas, cols):
+        values = np.array([float(objective(kappa)) for kappa in kappas.tolist()])
+        return values[:, None] if cols is None else values
+
+    return _search(lifted, 1, log10_bracket, rel_tol).scalar()
+
+
+def select_columns(objective, log10_bracket=DEFAULT_BRACKET, rel_tol=DEFAULT_REL_TOL):
+    """Select kappa for every residual column of a MarginalObjective at once.
+
+    The values include the Case-1 offset; sigma2_hat is r^T E^-1 r / n at
+    kappa_hat, or the known sigma2. A failed column is flagged, not raised.
+    """
+    found = _search(objective.search_total, objective.columns, log10_bracket, rel_tol)
+    if objective.sigma2 is None:
+        with np.errstate(all="ignore"):
+            quad = objective(found.kappa_hat, np.arange(objective.columns)).quad_term
+        variance = quad / objective.workspace.n
+    else:
+        variance = np.full(objective.columns, objective.sigma2)
+    return found._replace(
+        objective_at_min=found.objective_at_min + objective.offset,
+        values=found.values + objective.offset,
+        sigma2_hat=variance,
+    )
 
 
 def _select(problem, prior, sigma2, log10_bracket, rel_tol):
-    """Minimize the Case-1 (sigma2 None) or Case-2 objective and read the variances."""
+    """select_columns on the problem's own residual, as a SelectionResult."""
     objective = MarginalObjective(MarginalWorkspace(problem, prior.w_beta), prior, sigma2)
-    found = minimize_scalar(lambda kappa: objective(kappa).total, log10_bracket, rel_tol)
-    variance = objective(found.kappa_hat).quad_term / problem.n if sigma2 is None else float(sigma2)
+    selected = select_columns(objective, log10_bracket, rel_tol)
+    found = selected.scalar()
+    variance = float(selected.sigma2_hat[0])
     return SelectionResult(
-        kappa_hat=found.kappa_hat,
+        **found._asdict(),
         sigma2_hat=variance,
         sigma_beta2_hat=variance / found.kappa_hat,
-        objective_at_min=found.objective_at_min,
-        trace=found.trace,
-        boundary_flag=found.boundary_flag,
         mu_assumed_zero=prior.mu_assumed_zero,
         case_tag=objective.case_tag,
     )
 
 
-def select_case1(
-    problem,
-    prior,
-    log10_bracket=DEFAULT_BRACKET,
-    rel_tol=DEFAULT_REL_TOL,
-):
+def select_case1(problem, prior, log10_bracket=DEFAULT_BRACKET, rel_tol=DEFAULT_REL_TOL):
     """Both variances unknown: minimize the concentrated objective.
 
     Minimizes n ln(r^T E^-1 r) + ln det E over kappa, then reads the
@@ -188,12 +233,6 @@ def select_case1(
     return _select(problem, prior, None, log10_bracket, rel_tol)
 
 
-def select_case2(
-    problem,
-    prior,
-    sigma2,
-    log10_bracket=DEFAULT_BRACKET,
-    rel_tol=DEFAULT_REL_TOL,
-):
+def select_case2(problem, prior, sigma2, log10_bracket=DEFAULT_BRACKET, rel_tol=DEFAULT_REL_TOL):
     """Known sigma2: minimize r^T E^-1 r / sigma2 + ln det E over kappa."""
     return _select(problem, prior, sigma2, log10_bracket, rel_tol)

@@ -23,6 +23,19 @@ def format_float(value):
     return format(value, ".17g")
 
 
+def _encode_floats(values, indent, level):
+    """_encode of a finite float array's tolist(), one format call per value."""
+    if not isinstance(values, list):
+        return format(values, ".17g")
+    if not values:
+        return "[]"
+    if not isinstance(values[0], list):
+        return "[" + ", ".join([format(v, ".17g") for v in values]) + "]"
+    inner = " " * (indent * (level + 1))
+    body = ",\n".join(inner + _encode_floats(row, indent, level + 1) for row in values)
+    return "[\n" + body + "\n" + " " * (indent * level) + "]"
+
+
 def _is_scalar(obj):
     return not isinstance(obj, (list, tuple, dict, np.ndarray))
 
@@ -41,6 +54,10 @@ def _encode(obj, indent, level):
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            if not np.isfinite(obj).all():
+                raise EvaluationError("non-finite array values are not representable in JSON")
+            return _encode_floats(obj.tolist(), indent, level)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         items = list(obj)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import abicreg as ar
+from abicreg.selection import select_columns
 from conftest import random_design, random_prior, tiny_fixture
 
 
@@ -47,9 +48,8 @@ class TestExpectedSigma2:
         signal, noise = ar.expected_sigma2_terms(design, truth, sigma2=1.0, kappa=0.5)
         assert signal == pytest.approx(0.2, rel=1e-12)
         assert noise == pytest.approx(0.6, rel=1e-12)
-        assert ar.expected_sigma2_mu_zero(design, truth, 1.0, 0.5) == pytest.approx(
-            0.8, rel=1e-12
-        )
+        # the expectation of the zero-mean estimate that mc_sigma2_study reports
+        assert signal + noise == pytest.approx(0.8, rel=1e-12)
 
     def test_terms_nonnegative_and_noise_bounded(self):
         rng = np.random.default_rng(40)
@@ -175,3 +175,68 @@ class TestMcKappaStudy:
         design, truth, prior = self.make_inputs()
         with pytest.raises(ar.DomainError):
             ar.mc_kappa_study(design, truth, prior, sigma2=1e-4, replicates=100, case=3)
+
+
+def _study_fixture(kind):
+    """(design, exact solution, true sigma2) for the lockstep equality tests."""
+    if kind == "spectrum48x12":
+        design, exact = ar.spectrum_problem(48, 12, decay=4.0, seed=1)
+        return design, exact, 1e-6
+    if kind == "phillips32":
+        design, exact = ar.phillips_problem(32)
+        return design, exact, 1e-4
+    rng = np.random.default_rng(44)
+    return random_design(rng, 30, 6, cond=1e4), rng.standard_normal(6), 1e-2
+
+
+class TestLockstepMatchesSelection:
+    """Each replicate of a kappa study is select_case1/select_case2 on its own data."""
+
+    @pytest.mark.parametrize("case", [1, 2])
+    @pytest.mark.parametrize("kind", ["spectrum48x12", "phillips32", "dense-w"])
+    def test_replicates_bit_identical(self, kind, case):
+        design, exact, sigma2 = _study_fixture(kind)
+        truth = ar.GroundTruth.from_design(design, exact)
+        prior = ar.default_prior(design.t, mu=exact)
+        replicates, seed = 100, 12
+        eps, _ = ar.bias._noise_block(design, sigma2, seed, replicates)  # the study's own draws
+        observations = truth.y_bar[:, None] + eps
+        workspace = ar.MarginalWorkspace(design.with_observations(truth.y_bar), prior.w_beta)
+        known = None if case == 1 else sigma2
+        report = ar.mc_kappa_study(design, truth, prior, sigma2, replicates, seed, case)
+        for mode_prior, summary in ((prior, report.true_mu), (prior.with_zero_mean(), report.zero_mu)):
+            found = select_columns(ar.MarginalObjective(workspace, mode_prior, known, observations))
+            assert not found.failed.any()
+            singles = []
+            for r in range(replicates):
+                problem = design.with_observations(truth.y_bar + eps[:, r])
+                if case == 1:
+                    single = ar.select_case1(problem, mode_prior)
+                else:
+                    single = ar.select_case2(problem, mode_prior, sigma2)
+                assert found.kappa_hat[r] == single.kappa_hat
+                assert found.sigma2_hat[r] == single.sigma2_hat
+                assert found.boundary_flag[r] is single.boundary_flag
+                singles.append(single)
+            # the study reports exactly these selections
+            assert summary.kappa_hat == ar.QuantileSummary.from_samples(
+                [single.kappa_hat for single in singles]
+            )
+            assert summary.sigma2_hat == ar.QuantileSummary.from_samples(
+                [single.sigma2_hat for single in singles]
+            )
+            edges = sum(single.boundary_flag is not ar.BoundaryFlag.INTERIOR for single in singles)
+            assert summary.boundary_fraction == edges / replicates
+            assert summary.failures == 0
+
+    def test_zero_residual_column_fails_alone(self):
+        # in a block a zero Case-1 residual is a failed column; alone it raises
+        design, _ = ar.phillips_problem(32)
+        prior = ar.default_prior(design.t)
+        workspace = ar.MarginalWorkspace(design.with_observations(np.ones(design.n)), prior.w_beta)
+        observations = np.zeros((design.n, 3))
+        observations[:, 1] = 1.0
+        found = select_columns(ar.MarginalObjective(workspace, prior, None, observations))
+        assert found.failed.tolist() == [True, False, True]
+        with pytest.raises(ar.DegenerateProblemError):
+            ar.select_case1(design.with_observations(observations[:, 0]), prior)

@@ -78,23 +78,6 @@ class TestPriorModel:
             ar.default_prior(2, mu=[1.0, 2.0, 3.0])
 
 
-class TestHyperparameters:
-    def test_from_variances(self):
-        h = ar.Hyperparameters.from_variances(sigma2=2.0, sigma_beta2=4.0)
-        assert h.kappa == pytest.approx(0.5)
-        assert h.prior_variance == pytest.approx(4.0)
-
-    def test_inconsistent_triple_rejected(self):
-        with pytest.raises(ar.DomainError):
-            ar.Hyperparameters(sigma2=1.0, kappa=1.0, sigma_beta2=2.0)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ar.DomainError):
-            ar.Hyperparameters(sigma2=-1.0, kappa=1.0)
-        with pytest.raises(ar.DomainError):
-            ar.Hyperparameters(sigma2=1.0, kappa=0.0)
-
-
 class TestValidation:
     def test_all_pass_on_good_fixture(self):
         rng = np.random.default_rng(42)

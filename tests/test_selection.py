@@ -137,6 +137,11 @@ class TestSelectCase1:
             assert result.sigma2_hat == pytest.approx(
                 base.sigma2_hat * scale * scale, rel=DEFAULT_REL_TOL
             )
+        # a power of two scales r exactly, so the search sees the same values
+        for scale in (2.0**500, 2.0**531, 2.0**-664):
+            result = ar.select_case1(design.with_observations(y * scale), prior)
+            assert result.kappa_hat == base.kappa_hat
+            assert result.boundary_flag is base.boundary_flag
 
 
 class TestSelectCase2:
@@ -164,6 +169,28 @@ class TestSelectCase2:
         problem, prior = random_fixture(rng, 8, 2)
         with pytest.raises(ar.DomainError):
             ar.select_case2(problem, prior, 0.0)
+
+
+class TestSweepMatchesTrace:
+    @pytest.mark.parametrize("mu_zero", [False, True])
+    @pytest.mark.parametrize("kind", ["phillips32", "spectrum48x12"])
+    def test_sweep_objective_is_the_selection_trace(self, kind, mu_zero):
+        if kind == "phillips32":
+            design, exact = ar.phillips_problem(32)
+        else:
+            design, exact = ar.spectrum_problem(48, 12, decay=4.0, seed=1)
+        y, _ = ar.synthesize_observations(design, exact, sigma2=1e-4, seed=4)
+        problem = design.with_observations(y)
+        prior = ar.default_prior(design.t, mu=None if mu_zero else exact)
+        for case, sigma2 in ((1, None), (2, 1e-4)):
+            if case == 1:
+                trace = ar.select_case1(problem, prior).trace
+            else:
+                trace = ar.select_case2(problem, prior, sigma2).trace
+            rows = ar.sweep_objective(problem, prior, case=case, sigma2=sigma2, points=GRID_POINTS)
+            assert [row.kappa for row in rows] == [kappa for kappa, _ in trace]
+            swept = [row.objective if math.isfinite(row.objective) else math.inf for row in rows]
+            assert swept == [value for _, value in trace]
 
 
 class TestSelectionResultJson:
