@@ -24,15 +24,19 @@ study selects kappa for its n x R block of measurements in one lockstep
 search per mode (selection.select_columns); each column's choice is
 bit-identical to select_case1/select_case2 on that replicate alone.
 
-Per-replicate randomness comes from a counter construction: replicate r
-uses PCG64 seeded with SeedSequence(seed, spawn_key=(r,)), so replicates
-are order-independent and safe to parallelize. The noise draw always
-consumes the stream first, which keeps the noise identical across modes
-that share a replicate index.
+Per-replicate randomness comes from counter-based streams (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC11): replicate r
+is numpy's Philox (Philox4x64-10) keyed by the seed, with its counter
+starting at (0, r, 0, 0). Replicates are order-independent and safe to
+parallelize, and one generator serves a whole block by resetting its
+counter. The key is 128 bits, so a seed must lie in [0, 2**128). The
+noise draw always consumes the stream first, which keeps the noise
+identical across modes that share a replicate index.
 """
 
 import enum
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -49,6 +53,7 @@ __all__ = [
     "QuantileSummary",
     "ModeSummary",
     "KappaStudyReport",
+    "check_seed",
     "replicate_stream",
     "draw_noise",
     "expected_sigma2_terms",
@@ -56,7 +61,7 @@ __all__ = [
     "mc_kappa_study",
 ]
 
-RNG_DESCRIPTION = "numpy PCG64, SeedSequence(seed, spawn_key=(replicate,))"
+RNG_DESCRIPTION = "numpy Philox4x64-10, key=seed, counter=(0, replicate, 0, 0)"
 
 MIN_REPLICATES = 100
 
@@ -66,9 +71,22 @@ class MuMode(enum.Enum):
     ZERO_MU = "zero"
 
 
+def check_seed(seed):
+    """The seed as an int; DomainError unless it is an integer in [0, 2**128),
+    the range of a Philox key."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= seed < 2**128:
+        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
+    return seed
+
+
 def replicate_stream(seed, replicate):
     """Independent generator for one replicate of a seeded study."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate,)))
+    bit_generator = np.random.Philox(key=check_seed(seed), counter=[0, replicate, 0, 0])
+    return np.random.Generator(bit_generator)
 
 
 def _color(weight, variance, z):
@@ -111,29 +129,41 @@ def expected_sigma2_terms(design, ground_truth, sigma2, kappa, w_beta=None):
     """
     if not sigma2 > 0:
         raise DomainError(f"sigma2 must be positive, got {sigma2}")
-    problem = design.with_observations(np.zeros(design.n))
-    workspace = MarginalWorkspace(problem, w_beta)
-    ops = workspace.operators(kappa)
-    signal = ops.quad_form(ground_truth.y_bar) / design.n
-    noise = ops.expected_noise_quad() * sigma2 / design.n
+    workspace = MarginalWorkspace(design.with_observations(np.zeros(design.n)), w_beta)
+    return _sigma2_terms(workspace.operators(kappa), ground_truth, sigma2)
+
+
+def _sigma2_terms(ops, ground_truth, sigma2):
+    """expected_sigma2_terms from the operators of a zero-observation workspace."""
+    signal = ops.quad_form(ground_truth.y_bar) / ops.n
+    noise = ops.expected_noise_quad() * sigma2 / ops.n
     return signal, noise
 
 
 def _noise_block(design, sigma2, seed, replicates, extra_draws=0):
-    """Stack per-replicate noise columns; optionally collect extra draws.
+    """Noise columns for R replicates, and optionally further standard normals.
 
-    Returns (eps columns (n, R), extra standard-normal columns or None).
-    Each replicate consumes its own stream, noise first.
+    Returns (eps (n, R), extra standard normals (extra_draws, R) or None).
+    Column r is replicate_stream(seed, r)'s first n normals, colored; its
+    extra column is the next extra_draws normals of that stream. One
+    Philox serves every replicate: setting its counter to (0, r, 0, 0)
+    with an empty buffer starts replicate r's stream.
     """
-    n = design.n
-    z_eps = np.empty((n, replicates))
-    z_extra = np.empty((extra_draws, replicates)) if extra_draws else None
+    bit_generator = np.random.Philox(key=check_seed(seed))
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    # buffer_pos 4 marks the four-word output buffer empty; no half-used uint32 is kept
+    state.update(buffer_pos=4, has_uint32=0)
+    counter = state["state"]["counter"]
+    z_eps = np.empty((replicates, design.n))
+    z_extra = np.empty((replicates, extra_draws))
     for r in range(replicates):
-        rng = replicate_stream(seed, r)
-        z_eps[:, r] = rng.standard_normal(n)
+        counter[1] = r
+        bit_generator.state = state
+        rng.standard_normal(out=z_eps[r])
         if extra_draws:
-            z_extra[:, r] = rng.standard_normal(extra_draws)
-    return _color(design.w, sigma2, z_eps), z_extra
+            rng.standard_normal(out=z_extra[r])
+    return _color(design.w, sigma2, z_eps.T), (z_extra.T if extra_draws else None)
 
 
 def mc_sigma2_study(
@@ -177,7 +207,7 @@ def mc_sigma2_study(
         eps, _ = _noise_block(design, sigma2, seed, replicates)
         # mu = 0, so the residual is the measurement vector itself
         residuals = ground_truth.y_bar[:, None] + eps
-        signal, noise = expected_sigma2_terms(design, ground_truth, sigma2, kappa, prior.w_beta)
+        signal, noise = _sigma2_terms(ops, ground_truth, sigma2)
         analytic = signal + noise
         sampling = "fixed-truth"
 

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__, serialize
-from .bias import MuMode, mc_kappa_study, mc_sigma2_study
+from .bias import MuMode, check_seed, mc_kappa_study, mc_sigma2_study
 from .errors import (
     DegenerateProblemError,
     DimensionError,
@@ -402,6 +402,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "seed" in vars(args):
+            check_seed(args.seed)
         return args.handler(args)
     except (CliConfigError, DimensionError, DomainError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))

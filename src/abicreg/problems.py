@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bias import draw_noise, replicate_stream
+from .bias import check_seed, draw_noise, replicate_stream
 from .errors import DomainError
 from .model import GroundTruth, ProblemDesign
 
@@ -37,7 +37,8 @@ class GeneratorSpec:
     """Validated recipe for one synthetic problem.
 
     Phillips fixes t = n and ignores ``decay``; spectrum needs
-    n >= t >= 2 and a nonnegative decay exponent.
+    n >= t >= 2 and a nonnegative decay exponent. The seed must be an
+    integer in [0, 2**128), like every seed of the noise streams.
     """
 
     kind: GeneratorKind
@@ -49,6 +50,7 @@ class GeneratorSpec:
     def __post_init__(self):
         kind = GeneratorKind(self.kind)
         object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if kind is GeneratorKind.PHILLIPS:
             if self.n < 8 or self.n % 4:
                 raise DomainError(f"phillips needs n >= 8 divisible by 4, got n={self.n}")

@@ -21,6 +21,54 @@ class TestReplicateStream:
         b = ar.replicate_stream(7, 1).standard_normal(5)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.5])
+    def test_seed_outside_philox_key_range_rejected(self, seed):
+        design, _, prior, truth = tiny_fixture()
+        with pytest.raises(ar.DomainError):
+            ar.replicate_stream(seed, 0)
+        with pytest.raises(ar.DomainError):
+            ar.bias._noise_block(design, 1.0, seed, 100)
+        with pytest.raises(ar.DomainError):
+            ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=100, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        design, _, _, _ = tiny_fixture()
+        eps, _ = ar.bias._noise_block(design, 1.0, 2**128 - 1, 100)
+        assert np.array_equal(eps[:, 99], ar.replicate_stream(2**128 - 1, 99).standard_normal(2))
+
+
+class TestNoiseBlock:
+    """Column r of a study's noise block is replicate_stream(seed, r), noise first."""
+
+    @pytest.mark.parametrize("identity_w", [True, False])
+    def test_columns_are_replicate_streams(self, identity_w):
+        rng = np.random.default_rng(46)
+        design = random_design(rng, 9, 3, identity_w=identity_w)
+        sigma2, seed, replicates, extra_draws = 0.3, 11, 150, 4
+        eps, extra = ar.bias._noise_block(design, sigma2, seed, replicates, extra_draws)
+        assert eps.shape == (design.n, replicates)
+        assert extra.shape == (extra_draws, replicates)
+        draws = []
+        for r in range(replicates):
+            stream = ar.replicate_stream(seed, r)
+            draws.append(stream.standard_normal(design.n))
+            assert np.array_equal(extra[:, r], stream.standard_normal(extra_draws))
+        # the block colors all columns in one triangular solve: bit-equal to
+        # coloring the stacked streams, and equal to each column's own solve
+        # up to the rounding of a block against a single right-hand side
+        assert np.array_equal(eps, ar.bias._color(design.w, sigma2, np.array(draws).T))
+        for r in (0, 73, replicates - 1):
+            alone = ar.bias._color(design.w, sigma2, draws[r])
+            if identity_w:
+                assert np.array_equal(eps[:, r], alone)
+            else:
+                assert_allclose(eps[:, r], alone, rtol=1e-13, atol=1e-15)
+        y, truth = ar.synthesize_observations(design, np.ones(design.t), sigma2, seed)
+        if identity_w:
+            assert np.array_equal(y, truth.y_bar + eps[:, 0])
+        else:
+            assert_allclose(y, truth.y_bar + eps[:, 0], rtol=1e-13, atol=1e-15)
+
 
 class TestDrawNoise:
     def test_identity_weight_is_plain_gaussian(self):
@@ -119,7 +167,7 @@ class TestMcSigma2Study:
         doc = ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=150, seed=1).to_json()
         assert doc["mu_mode"] == "zero"
         assert doc["replicates"] == 150
-        assert "PCG64" in doc["rng"]
+        assert "Philox" in doc["rng"]
 
 
 class TestMcKappaStudy:

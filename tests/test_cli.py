@@ -247,6 +247,25 @@ class TestBiasStudy:
         assert proc.returncode == 2
 
 
+class TestSeedRange:
+    """A seed must fit a Philox key, [0, 2**128); outside it the CLI exits 2."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--kind", "phillips", "--n", "8", "--sigma2", "0.01"],
+            ["bias-study", "--kind", "phillips", "--n", "8", "--sigma2", "0.01", "--kappa", "1"],
+        ],
+        ids=["generate", "bias-study"],
+    )
+    def test_out_of_range_seed_exits_2(self, tmp_path, argv, seed):
+        proc = run_cli(*argv, "--seed", str(seed), "--out", "o", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"]["category"] == "config"
+
+
 class TestDeterminism:
     def test_select_kappa_byte_identical(self, generated):
         for out in ("d1", "d2"):

@@ -73,6 +73,9 @@ class TestSpectrum:
             ar.spectrum_problem(3, 4, decay=1.0)
         with pytest.raises(ar.DomainError):
             ar.spectrum_problem(5, 3, decay=-1.0)
+        for seed in (-1, 2**128):
+            with pytest.raises(ar.DomainError):
+                ar.spectrum_problem(5, 3, decay=1.0, seed=seed)
 
 
 class TestGeneratorSpec:

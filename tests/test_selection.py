@@ -86,7 +86,8 @@ class TestSelectCase1:
         problem, prior = random_fixture(rng, 12, 4)
         result = ar.select_case1(problem, prior)
         grid = 10.0 ** np.linspace(-12, 12, 20001)
-        values = [ar.abic_case1(problem, prior, k).total for k in grid]
+        workspace = ar.MarginalWorkspace(problem, prior.w_beta)
+        values = ar.MarginalObjective(workspace, prior)(grid).total[:, 0]
         best = grid[int(np.argmin(values))]
         if result.boundary_flag is ar.BoundaryFlag.INTERIOR:
             assert result.kappa_hat == pytest.approx(best, rel=5e-3)
@@ -151,7 +152,8 @@ class TestSelectCase2:
         sigma2 = 0.5
         result = ar.select_case2(problem, prior, sigma2)
         grid = 10.0 ** np.linspace(-12, 12, 20001)
-        values = [ar.abic_case2(problem, prior, sigma2, k).total for k in grid]
+        workspace = ar.MarginalWorkspace(problem, prior.w_beta)
+        values = ar.MarginalObjective(workspace, prior, sigma2)(grid).total[:, 0]
         best = grid[int(np.argmin(values))]
         if result.boundary_flag is ar.BoundaryFlag.INTERIOR:
             assert result.kappa_hat == pytest.approx(best, rel=5e-3)
