@@ -10,6 +10,7 @@ numerical failures, 4 for I/O.
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 
@@ -51,6 +52,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # route argparse failures through the JSON error path
         raise CliConfigError(message)
+
+
+def _finite(text):
+    """The type of every float flag: nan and +-inf would only fail at the output."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _fail(code, category, message):
@@ -193,7 +205,10 @@ def _bias_inputs(args):
             doc = json.load(handle)
         if not isinstance(doc, dict) or "exact_solution" not in doc:
             raise CliConfigError("truth file must be a JSON object with an exact_solution key")
-        exact = np.asarray(doc["exact_solution"], dtype=float)
+        try:
+            exact = np.asarray(doc["exact_solution"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"exact_solution is not a numeric vector: {exc}") from exc
         design = loaded.problem.design
         truth = GroundTruth.from_design(design, exact)
         # study prior is centered on the truth; the w_beta comes from the file
@@ -312,7 +327,7 @@ def _add_generator_flags(sub):
     sub.add_argument("--kind", choices=[k.value for k in GeneratorKind], help="problem family")
     sub.add_argument("--n", type=int, help="number of observations")
     sub.add_argument("--t", type=int, default=None, help="number of parameters (spectrum only)")
-    sub.add_argument("--decay", type=float, default=0.0, help="singular value decay exponent")
+    sub.add_argument("--decay", type=_finite, default=0.0, help="singular value decay exponent")
     sub.add_argument("--seed", type=int, default=0, help="generator seed")
 
 
@@ -320,12 +335,14 @@ def _add_bracket_flags(sub):
     sub.add_argument(
         "--bracket",
         nargs=2,
-        type=float,
+        type=_finite,
         default=list(DEFAULT_BRACKET),
         metavar=("LO", "HI"),
         help="log10 kappa search bracket",
     )
-    sub.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL, help="relative tolerance on kappa")
+    sub.add_argument(
+        "--rel-tol", type=_finite, default=DEFAULT_REL_TOL, help="relative tolerance on kappa"
+    )
 
 
 def build_parser():
@@ -335,7 +352,7 @@ def build_parser():
 
     gen = subs.add_parser("generate", help="write a synthetic problem file with known truth")
     _add_generator_flags(gen)
-    gen.add_argument("--sigma2", type=float, default=0.0, help="noise variance for the data draw")
+    gen.add_argument("--sigma2", type=_finite, default=0.0, help="noise variance for the data draw")
     gen.add_argument(
         "--mu-mode",
         choices=["true", "zero"],
@@ -348,9 +365,9 @@ def build_parser():
     solve = subs.add_parser("solve", help="point estimates for one problem file")
     solve.add_argument("--problem", required=True, help="problem JSON file")
     solve.add_argument("--method", required=True, choices=["ls", "regularized", "bayes"])
-    solve.add_argument("--kappa", type=float, default=None, help="regularization strength")
-    solve.add_argument("--sigma2", type=float, default=None, help="noise variance (bayes)")
-    solve.add_argument("--sigma-beta2", type=float, default=None, help="prior variance (bayes)")
+    solve.add_argument("--kappa", type=_finite, default=None, help="regularization strength")
+    solve.add_argument("--sigma2", type=_finite, default=None, help="noise variance (bayes)")
+    solve.add_argument("--sigma-beta2", type=_finite, default=None, help="prior variance (bayes)")
     solve.add_argument("--mu-mode", choices=["auto", "true", "zero"], default="auto")
     _add_common_out(solve)
     solve.set_defaults(handler=_cmd_solve)
@@ -358,7 +375,7 @@ def build_parser():
     select = subs.add_parser("select-kappa", help="minimize an ABIC objective over kappa")
     select.add_argument("--problem", required=True)
     select.add_argument("--case", type=int, choices=[1, 2], default=1)
-    select.add_argument("--sigma2", type=float, default=None, help="known noise variance (case 2)")
+    select.add_argument("--sigma2", type=_finite, default=None, help="known noise variance (case 2)")
     select.add_argument("--mu-mode", choices=["auto", "true", "zero"], default="auto")
     _add_bracket_flags(select)
     _add_common_out(select)
@@ -369,8 +386,8 @@ def build_parser():
     bias.add_argument("--problem", default=None, help="problem JSON file (needs --truth)")
     bias.add_argument("--truth", default=None, help="truth JSON file with exact_solution")
     _add_generator_flags(bias)
-    bias.add_argument("--sigma2", type=float, required=True, help="true noise variance")
-    bias.add_argument("--kappa", type=float, default=None, help="fixed kappa (sigma2 study)")
+    bias.add_argument("--sigma2", type=_finite, required=True, help="true noise variance")
+    bias.add_argument("--kappa", type=_finite, default=None, help="fixed kappa (sigma2 study)")
     bias.add_argument("--replicates", type=int, default=None)
     bias.add_argument("--mu-mode", choices=["true", "zero"], default="zero")
     bias.add_argument("--case", type=int, choices=[1, 2], default=1, help="objective (kappa study)")
@@ -381,13 +398,13 @@ def build_parser():
     sweep = subs.add_parser("sweep", help="tabulate an objective on a log kappa grid")
     sweep.add_argument("--problem", required=True)
     sweep.add_argument("--case", type=int, choices=[1, 2], default=1)
-    sweep.add_argument("--sigma2", type=float, default=None, help="known noise variance (case 2)")
+    sweep.add_argument("--sigma2", type=_finite, default=None, help="known noise variance (case 2)")
     sweep.add_argument("--mu-mode", choices=["auto", "true", "zero"], default="auto")
     sweep.add_argument("--points", type=int, default=97)
     sweep.add_argument(
         "--bracket",
         nargs=2,
-        type=float,
+        type=_finite,
         default=list(DEFAULT_BRACKET),
         metavar=("LO", "HI"),
         help="log10 kappa grid range",

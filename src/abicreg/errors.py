@@ -29,10 +29,10 @@ class FactorizationError(AbicregError, ArithmeticError):
 
 
 class SingularMatrixError(FactorizationError):
-    """A normal matrix is numerically singular.
+    """A design is numerically rank deficient where full rank is needed.
 
-    Carries the condition estimate that triggered the failure in
-    ``condition``, when one was computed.
+    Carries the condition number of the normal matrix, (s_max / s_min)^2
+    of the whitened design, in ``condition``.
     """
 
     def __init__(self, message, condition=None):

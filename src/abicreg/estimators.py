@@ -1,10 +1,12 @@
 """Point estimators for the linear model and the Gaussian log-densities.
 
-Four estimators of beta are provided: plain weighted least squares,
-the regularized (ridge) solution, the Bayes/stochastic-inference
-posterior mean with a general prior mean, and its zero-mean special
-case. Densities are exposed in log space only; the Gaussian normalizing
-constants underflow for n beyond a few hundred otherwise.
+Three estimators of beta are provided: plain weighted least squares,
+the regularized (ridge) solution, and the Bayes/stochastic-inference
+posterior mean with a general prior mean. All three apply the Tikhonov
+filter s / (s^2 + kappa) to the SVD that MarginalWorkspace takes of the
+whitened design, so no normal equations are formed. Densities are
+exposed in log space only; the Gaussian normalizing constants underflow
+for n beyond a few hundred otherwise.
 """
 
 import enum
@@ -13,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import spd_factor, spd_solve, symmetrize
-from .errors import DomainError, FactorizationError, SingularMatrixError
-from .model import as_weight
+from .errors import DomainError, FactorizationError
+from .marginal import MarginalWorkspace, log_marginal_density
 
 __all__ = [
     "EstimatorMethod",
@@ -23,7 +24,6 @@ __all__ = [
     "ls_estimate",
     "regularized_estimate",
     "bayes_estimate",
-    "bayes_zero_mean_estimate",
     "log_joint_density",
     "log_posterior_density",
 ]
@@ -35,7 +35,6 @@ class EstimatorMethod(enum.Enum):
     LS = "ls"
     REGULARIZED = "regularized"
     BAYES = "bayes"
-    BAYES_ZERO_MEAN = "bayes-zero-mean"
 
 
 @dataclass(frozen=True)
@@ -67,41 +66,26 @@ class Estimate:
         }
 
 
-def _normal_pieces(problem):
-    wa = problem.w.apply(problem.a_matrix)
-    normal = symmetrize(problem.a_matrix.T @ wa)
-    rhs = wa.T @ problem.y
-    return normal, rhs
-
-
 def ls_estimate(problem):
-    """Weighted least squares: solve (A^T W A) beta = A^T W y.
+    """Weighted least squares: the minimizer of (y - A beta)^T W (y - A beta).
 
-    Raises SingularMatrixError (carrying the condition estimate of the
-    normal matrix) when the factorization fails. Near-singular normal
-    matrices that still factor numerically are solved as-is; instability
-    is the caller's lookout, regularization exists for exactly that.
+    Computed from the SVD of the whitened design, never from the normal
+    matrix A^T W A. Raises SingularMatrixError, carrying the condition
+    number of the normal matrix, when the smallest whitened singular
+    value is at most RANK_TOL_FACTOR * eps times the largest, the rank
+    rule of validate_problem.
     """
-    normal, rhs = _normal_pieces(problem)
-    try:
-        factor = spd_factor(normal, "normal matrix")
-    except FactorizationError as exc:
-        condition = float(np.linalg.cond(normal))
-        raise SingularMatrixError(
-            f"normal matrix is numerically singular (condition ~ {condition:.3e})",
-            condition=condition,
-        ) from exc
-    return Estimate(spd_solve(factor, rhs), EstimatorMethod.LS)
+    beta = MarginalWorkspace(problem).penalized_solution(problem.y, 0.0)
+    return Estimate(beta, EstimatorMethod.LS)
 
 
 def regularized_estimate(problem, w_beta=None, kappa=0.0):
-    """Regularized solution: solve (A^T W A + kappa W_beta) beta = A^T W y."""
+    """Regularized solution, the minimizer of
+    (y - A beta)^T W (y - A beta) + kappa beta^T W_beta beta."""
     if not kappa >= 0:
         raise DomainError(f"kappa must be nonnegative, got {kappa}")
-    w_beta = as_weight(w_beta, "w_beta", problem.t)
-    normal, rhs = _normal_pieces(problem)
-    factor = spd_factor(normal + kappa * w_beta.to_array(), "regularized normal matrix")
-    return Estimate(spd_solve(factor, rhs), EstimatorMethod.REGULARIZED, kappa=float(kappa))
+    beta = MarginalWorkspace(problem, w_beta).penalized_solution(problem.y, kappa)
+    return Estimate(beta, EstimatorMethod.REGULARIZED, kappa=float(kappa))
 
 
 def _check_variances(sigma2, sigma_beta2):
@@ -114,44 +98,16 @@ def _check_variances(sigma2, sigma_beta2):
 def bayes_estimate(problem, prior, sigma2, sigma_beta2):
     """Posterior mean under the Gaussian prior (mu, W_beta^-1 sigma_beta2).
 
-    Solves (A^T W A / sigma2 + W_beta / sigma_beta2) beta =
-    A^T W y / sigma2 + W_beta mu / sigma_beta2. This is simultaneously
-    the stochastic-inference estimator and the posterior mode; with
-    mu = 0 it collapses to the regularized solution at
-    kappa = sigma2 / sigma_beta2.
+    This is mu plus the regularized solution for the residual y - A mu
+    at kappa = sigma2 / sigma_beta2: simultaneously the
+    stochastic-inference estimator and the posterior mode. With mu = 0
+    it collapses to regularized_estimate at that kappa.
     """
     _check_variances(sigma2, sigma_beta2)
-    normal, rhs = _normal_pieces(problem)
-    lhs = normal / sigma2 + prior.w_beta.to_array() / sigma_beta2
-    full_rhs = rhs / sigma2 + prior.w_beta.apply(prior.mu) / sigma_beta2
-    factor = spd_factor(lhs, "posterior precision matrix")
-    return Estimate(
-        spd_solve(factor, full_rhs),
-        EstimatorMethod.BAYES,
-        sigma2=float(sigma2),
-        kappa=float(sigma2 / sigma_beta2),
-    )
-
-
-def bayes_zero_mean_estimate(problem, w_beta, sigma2, sigma_beta2):
-    """Posterior mean with the prior mean forced to zero.
-
-    Algebraically identical to regularized_estimate at
-    kappa = sigma2/sigma_beta2, but computed through the variance-scaled
-    normal equations so the collapse stays an independently testable
-    identity.
-    """
-    _check_variances(sigma2, sigma_beta2)
-    w_beta = as_weight(w_beta, "w_beta", problem.t)
-    normal, rhs = _normal_pieces(problem)
-    lhs = normal / sigma2 + w_beta.to_array() / sigma_beta2
-    factor = spd_factor(lhs, "posterior precision matrix")
-    return Estimate(
-        spd_solve(factor, rhs / sigma2),
-        EstimatorMethod.BAYES_ZERO_MEAN,
-        sigma2=float(sigma2),
-        kappa=float(sigma2 / sigma_beta2),
-    )
+    kappa = sigma2 / sigma_beta2
+    workspace = MarginalWorkspace(problem, prior.w_beta)
+    beta = prior.mu + workspace.penalized_solution(workspace.residual(prior), kappa)
+    return Estimate(beta, EstimatorMethod.BAYES, sigma2=float(sigma2), kappa=float(kappa))
 
 
 def _gaussian_logpdf(residual, weight, variance):
@@ -178,8 +134,6 @@ def log_joint_density(problem, prior, beta, sigma2, sigma_beta2):
 
 def log_posterior_density(problem, prior, beta, sigma2, sigma_beta2):
     """log posterior of beta: joint minus marginal, maximized at the Bayes estimate."""
-    from .marginal import log_marginal_density
-
     return log_joint_density(problem, prior, beta, sigma2, sigma_beta2) - log_marginal_density(
         problem, prior, sigma2, sigma_beta2
     )

@@ -28,6 +28,14 @@ z = L_W^T r and c = U^T z:
     tr(E^-1 W^-1) = (n - t) + sum kappa / (s_i^2 + kappa)
     E^-1 r        = L_W (z - U (s^2 / (s^2 + kappa) * c))
 
+The same decomposition gives the point estimates. The minimizer of
+(r - A x)^T W (r - A x) + kappa x^T W_beta x is
+
+    x = L_b^-T V diag(s / (s^2 + kappa)) c,
+
+never formed through the normal equations A^T W A + kappa W_beta,
+whose condition number is the square of the whitened design's.
+
 No kappa needs a factorization, and once a residual is projected each
 kappa costs O(t). |z - U c|^2 is the squared norm of the explicit
 difference, never |z|^2 - |c|^2, which cancels catastrophically when r
@@ -55,8 +63,8 @@ from scipy.linalg import blas
 
 from . import serialize
 from ._linalg import spd_factor, spd_logdet, spd_solve, symmetrize
-from .errors import DegenerateProblemError, DomainError, FactorizationError
-from .model import as_weight
+from .errors import DegenerateProblemError, DomainError, FactorizationError, SingularMatrixError
+from .model import RANK_TOL_FACTOR, as_weight
 
 __all__ = [
     "ObjectiveCase",
@@ -144,10 +152,10 @@ class MarginalOperators:
 class MarginalWorkspace:
     """Kappa-independent decomposition shared across objective evaluations.
 
-    Holds the weight W of the problem (whose Weight caches L_W and
-    ln det W), and the left singular vectors U and squared singular
-    values s^2 of the whitened design L_W^T A L_b^-T. Nothing that
-    depends on kappa is cached here.
+    Holds the weights W and W_beta (whose Weights cache L_W, L_b and
+    ln det W), and the thin SVD U diag(s) V^T of the whitened design
+    L_W^T A L_b^-T, with s^2 beside it. Nothing that depends on kappa is
+    cached here.
     """
 
     def __init__(self, problem, w_beta=None):
@@ -155,20 +163,40 @@ class MarginalWorkspace:
         self.n = problem.n
         self.t = problem.t
         self.w = problem.w
-        w_beta = as_weight(w_beta, "w_beta", self.t)
-        whitened = w_beta.solve_lower(self.w.mul_lower(problem.a_matrix, trans=True).T).T
+        self.w_beta = as_weight(w_beta, "w_beta", self.t)
+        whitened = self.w_beta.solve_lower(self.w.mul_lower(problem.a_matrix, trans=True).T).T
         try:
-            u, s, _ = la.svd(whitened, full_matrices=False, check_finite=False)
+            u, self.s, self.vt = la.svd(whitened, full_matrices=False, check_finite=False)
         except la.LinAlgError as exc:
             raise FactorizationError(f"SVD of the whitened design failed: {exc}") from exc
         # Fortran order lets project() pass U to BLAS without a copy
         self.u = np.asfortranarray(u)
-        self.s2 = s * s
+        self.s2 = self.s * self.s
 
     def operators(self, kappa):
         if not kappa > 0:
             raise DomainError(f"kappa must be positive, got {kappa}")
         return MarginalOperators(self, kappa)
+
+    def penalized_solution(self, residual, kappa):
+        """L_b^-T V diag(s / (s^2 + kappa)) U^T L_W^T r, the minimizer of
+        (r - A x)^T W (r - A x) + kappa x^T W_beta x.
+
+        kappa = 0 is weighted least squares, which needs full rank: the
+        rule of validate_problem, applied to the whitened singular values,
+        raises SingularMatrixError when s_min <= RANK_TOL_FACTOR eps s_max,
+        with condition (s_max / s_min)^2, the normal matrix's.
+        """
+        s_max, s_min = float(self.s[0]), float(self.s[-1])
+        if kappa == 0 and s_min <= RANK_TOL_FACTOR * np.finfo(float).eps * s_max:
+            # Python floats: the ratio and its square overflow to inf without a warning
+            condition = math.inf if s_min == 0 else (s_max / s_min) * (s_max / s_min)
+            raise SingularMatrixError(
+                f"whitened design is numerically rank deficient (condition ~ {condition:.3e})",
+                condition=condition,
+            )
+        coef = self.u.T @ self.w.mul_lower(residual, trans=True)
+        return self.w_beta.solve_lower(self.vt.T @ (self.s / (self.s2 + kappa) * coef), trans=True)
 
     def residual(self, prior):
         return self.problem.y - self.problem.a_matrix @ prior.mu

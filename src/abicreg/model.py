@@ -15,6 +15,7 @@ L x, L^-1 x or ln det W instead of working on an n x n array.
 """
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -431,6 +432,19 @@ class LoadedProblem:
         return self.prior.mu_assumed_zero
 
 
+def _file_variance(raw, key):
+    """The positive, finite number under ``key`` of a problem file, or None."""
+    value = raw.get(key)
+    if value is None:
+        return None
+    # JSON true is a Python int; a variance must be written as a number
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{key} must be a number, got {value!r}")
+    if not 0 < value <= sys.float_info.max:
+        raise DomainError(f"{key} must be positive and finite, got {value}")
+    return float(value)
+
+
 def load_problem(path):
     """Read the JSON problem-file format.
 
@@ -454,22 +468,9 @@ def load_problem(path):
     except (TypeError, ValueError) as exc:
         raise DomainError(f"key 'A' is not a numeric matrix: {exc}") from exc
     problem = InverseProblem(a, raw["y"], raw.get("W"))
-    sigma2 = raw.get("sigma2")
-    sigma_beta2 = raw.get("sigma_beta2")
-    if sigma2 is not None and not float(sigma2) > 0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
-    prior = default_prior(
-        problem.t,
-        mu=raw.get("mu"),
-        w_beta=raw.get("W_beta"),
-        sigma_beta2=None if sigma_beta2 is None else float(sigma_beta2),
-    )
-    return LoadedProblem(
-        problem,
-        prior,
-        None if sigma2 is None else float(sigma2),
-        None if sigma_beta2 is None else float(sigma_beta2),
-    )
+    sigma2, sigma_beta2 = _file_variance(raw, "sigma2"), _file_variance(raw, "sigma_beta2")
+    prior = default_prior(problem.t, raw.get("mu"), raw.get("W_beta"), sigma_beta2)
+    return LoadedProblem(problem, prior, sigma2, sigma_beta2)
 
 
 def save_problem(path, problem, prior=None, sigma2=None, sigma_beta2=None):

@@ -476,3 +476,50 @@ def test_criterion_10_high_precision_reference():
         + f" (tol 1e-10) over 3 fixtures 12x6, cond 1e8, kappa = 1e-12..1e12, "
         f"{elapsed:.1f}s (budget 30s)",
     )
+
+
+def test_criterion_11_estimators_high_precision():
+    """Point estimates vs a 50-digit mpmath solve, down to kappa = 1e-14 at cond(A) = 1e10."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(20261018)
+    eps = np.finfo(float).eps
+    worst = {"ls": 0.0, "regularized": 0.0, "bayes": 0.0}
+    worst_ratio = 0.0
+    with mp.workdps(50):
+        for cond in (1e6, 1e8, 1e10):
+            for dense in (False, True):
+                design = random_design(rng, 40, 12, cond=cond, identity_w=not dense)
+                problem = design.with_observations(rng.standard_normal(40))
+                prior = random_prior(rng, 12, identity_wbeta=not dense)
+                a, w = mp.matrix(problem.a_matrix.tolist()), mp.matrix(problem.w.to_array().tolist())
+                w_beta = mp.matrix(prior.w_beta.to_array().tolist())
+                aw = a.T * w
+                gram, data = aw * a, aw * mp.matrix(problem.y.tolist())
+                prior_pull = w_beta * mp.matrix(prior.mu.tolist())
+                # least squares has no kappa to bound its sensitivity: a backward-stable
+                # solve errs by about eps cond(L_W^T A), up to 2x that measured here
+                whitened = np.linalg.cholesky(problem.w.to_array()).T @ problem.a_matrix
+                ls_tol = max(1e-8, 10.0 * eps * np.linalg.cond(whitened))
+                cases = [("ls", 0.0, ar.ls_estimate(problem), ls_tol)]
+                for k in range(-14, 3, 2):
+                    kappa = 10.0**k
+                    reg = ar.regularized_estimate(problem, prior.w_beta, kappa)
+                    bayes = ar.bayes_estimate(problem, prior, 1.0, 1.0 / kappa)
+                    cases += [("regularized", kappa, reg, 1e-8), ("bayes", bayes.kappa, bayes, 1e-8)]
+                for name, kappa, estimate, tol in cases:
+                    rhs = data + mp.mpf(kappa) * prior_pull if name == "bayes" else data
+                    exact = mp.lu_solve(gram + mp.mpf(kappa) * w_beta, rhs)
+                    err = float(mp.norm(mp.matrix(estimate.beta_hat.tolist()) - exact) / mp.norm(exact))
+                    worst[name] = max(worst[name], err)
+                    worst_ratio = max(worst_ratio, err / tol)
+    elapsed = time.perf_counter() - start
+    _report(
+        11,
+        "estimators vs high precision",
+        worst_ratio <= 1.0 and elapsed < 30.0,
+        "max rel err "
+        + ", ".join(f"{key} {err:.2e}" for key, err in worst.items())
+        + " (tol 1e-8; ls max(1e-8, 10 eps cond(L_W^T A))) over 6 fixtures 40x12, "
+        f"cond 1e6..1e10, identity and dense weights, kappa = 1e-14..1e2, "
+        f"{elapsed:.1f}s (budget 30s)",
+    )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import abicreg as ar
+from abicreg import cli
 from conftest import cli_invocation
 
 
@@ -300,3 +301,83 @@ class TestTopLevel:
     def test_no_subcommand_is_config_error(self, tmp_path):
         proc = run_cli(cwd=tmp_path)
         assert proc.returncode == 2
+
+
+# A valid 2 x 1 problem; each fuzz case edits one key or replaces the whole text.
+GOOD_PROBLEM = {"A": [[1.0], [2.0]], "y": [1.0, 3.0], "mu": [1.0], "sigma2": 0.01, "sigma_beta2": 1.0}
+SOLVE = "solve --problem {problem} --out {out} --method"
+SELECT = "select-kappa --problem {problem} --out {out}"
+SWEEP = "sweep --problem {problem} --out {out} --points 9"
+BIAS = "bias-study --out {out} --replicates 100"
+BIAS_FILES = f"{BIAS} --problem {{problem}} --truth {{truth}} --sigma2 0.01 --kappa 1"
+BIAS_GEN = f"{BIAS} --kind phillips --n 8"
+INDEFINITE = {"W": [[1.0, 2.0], [2.0, 1.0]]}
+ASYMMETRIC = {"W": [[1.0, 0.0], [1.0, 1.0]]}
+
+
+def fuzz(case_id, argv, code, problem=None, truth='{"exact_solution": [1.0]}'):
+    return pytest.param(argv, problem or {}, truth, code, id=case_id)
+
+
+FUZZ_CASES = [
+    fuzz("solve-ls-ok", f"{SOLVE} ls", 0),
+    fuzz("select-ok", SELECT, 0),
+    fuzz("bias-kappa-ok", f"{BIAS_GEN} --study kappa --sigma2 0.01", 0),
+    fuzz("bias-files-ok", BIAS_FILES, 0),
+    fuzz("generate-sigma2-zero", "generate --kind phillips --n 8 --sigma2 0 --out {out}", 0),
+    fuzz("kappa-inf", f"{SOLVE} regularized --kappa inf", 2),
+    fuzz("kappa-nan", f"{SOLVE} regularized --kappa nan", 2),
+    fuzz("kappa-text", f"{SOLVE} regularized --kappa abc", 2),
+    fuzz("solve-sigma2-inf", f"{SOLVE} bayes --sigma2 inf", 2),
+    fuzz("solve-sigma-beta2-inf", f"{SOLVE} bayes --sigma-beta2 inf", 2),
+    fuzz("select-sigma2-inf", f"{SELECT} --case 2 --sigma2 inf", 2),
+    fuzz("select-rel-tol-inf", f"{SELECT} --rel-tol inf", 2),
+    fuzz("select-bracket-inf", f"{SELECT} --bracket -12 inf", 2),
+    fuzz("sweep-sigma2-inf", f"{SWEEP} --case 2 --sigma2 inf", 2),
+    fuzz("bias-kappa-inf", f"{BIAS_GEN} --study sigma2 --sigma2 0.01 --kappa inf", 2),
+    fuzz("bias-sigma2-inf", f"{BIAS_GEN} --study kappa --sigma2 inf", 2),
+    fuzz("generate-decay-nan", "generate --kind spectrum --n 6 --t 2 --decay nan --out {out}", 2),
+    fuzz("solve-sigma2-text", f"{SOLVE} bayes", 2, {"sigma2": "x"}),
+    fuzz("solve-sigma-beta2-text", f"{SOLVE} bayes", 2, {"sigma_beta2": "x"}),
+    fuzz("select-sigma2-text", f"{SELECT} --case 2", 2, {"sigma2": "x"}),
+    fuzz("sweep-sigma2-text", SWEEP, 2, {"sigma2": "x"}),
+    fuzz("select-sigma2-bool", f"{SELECT} --case 2", 2, {"sigma2": True}),
+    fuzz("ragged-a", SELECT, 2, {"A": [[1.0], [2.0, 3.0]]}),
+    fuzz("text-a", SELECT, 2, {"A": "x"}),
+    fuzz("mu-wrong-length", f"{SOLVE} bayes", 2, {"mu": [1.0, 2.0]}),
+    fuzz("y-nan", SELECT, 2, '{"A": [[1.0], [2.0]], "y": [NaN, 1.0]}'),
+    fuzz("not-an-object", SELECT, 2, "[1.0]"),
+    fuzz("not-json", SELECT, 2, "{A:"),
+    fuzz("solve-ls-indefinite-w", f"{SOLVE} ls", 3, INDEFINITE),
+    fuzz("solve-bayes-indefinite-w", f"{SOLVE} bayes", 3, INDEFINITE),
+    fuzz("select-indefinite-w", SELECT, 3, INDEFINITE),
+    fuzz("solve-ls-asymmetric-w", f"{SOLVE} ls", 3, ASYMMETRIC),
+    fuzz("solve-regularized-asymmetric-w", f"{SOLVE} regularized --kappa 1", 3, ASYMMETRIC),
+    fuzz("solve-rank-deficient", f"{SOLVE} ls", 3, {"A": [[1.0, 1.0], [1.0, 1.0]], "mu": None}),
+    fuzz("truth-text", BIAS_FILES, 2, truth='{"exact_solution": "abc"}'),
+    fuzz("truth-wrong-length", BIAS_FILES, 2, truth='{"exact_solution": [1.0, 2.0]}'),
+    fuzz("truth-missing-key", BIAS_FILES, 2, truth="{}"),
+    fuzz("missing-problem", "select-kappa --problem {out}/nope.json --out {out}", 4),
+]
+
+
+class TestInProcessFuzz:
+    """Bad flags and corrupted files through cli.main: the right exit code, never a traceback."""
+
+    @pytest.mark.parametrize("argv, problem, truth, code", FUZZ_CASES)
+    def test_exit_code(self, tmp_path, capsys, argv, problem, truth, code):
+        if isinstance(problem, dict):
+            edited = {**GOOD_PROBLEM, **problem}
+            problem = json.dumps({key: value for key, value in edited.items() if value is not None})
+        paths = {"problem": tmp_path / "problem.json", "truth": tmp_path / "truth.json"}
+        paths["problem"].write_text(problem)
+        paths["truth"].write_text(truth)
+        argv = [arg.format(out=tmp_path / "out", **paths) for arg in argv.split()]
+        exit_code = cli.main(argv)
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert exit_code in {0, 2, 3, 4}
+        assert exit_code == code, stderr
+        if code:
+            category = {2: "config", 3: "numeric", 4: "io"}[code]
+            assert json.loads(stderr)["error"]["category"] == category

@@ -31,7 +31,26 @@ class TestLeastSquares:
         problem = ar.InverseProblem(a, [1.0, 2.0, 3.0])
         with pytest.raises(ar.SingularMatrixError) as excinfo:
             ar.ls_estimate(problem)
-        assert excinfo.value.condition is None or excinfo.value.condition > 1e12
+        assert excinfo.value.condition > 1e12
+
+    def test_square_rank_one_design_raises(self):
+        # the normal equations once factored this and returned [0.2015, 0.7985]
+        problem = ar.InverseProblem([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+        with pytest.raises(ar.SingularMatrixError) as excinfo:
+            ar.ls_estimate(problem)
+        assert excinfo.value.condition > 1e12
+
+    def test_rank_rule_is_validate_problems(self):
+        # singular values 1 and 1e-12 pass the rule; 1 and 1e-14 fail it
+        for smallest, singular in ((1e-12, False), (1e-14, True)):
+            problem = ar.InverseProblem(np.diag([1.0, smallest]), [1.0, 1.0])
+            passed = ar.validate_problem(problem, ar.default_prior(2)).checks[1].passed
+            assert passed is not singular
+            if singular:
+                with pytest.raises(ar.SingularMatrixError):
+                    ar.ls_estimate(problem)
+            else:
+                assert_allclose(ar.ls_estimate(problem).beta_hat, [1.0, 1.0 / smallest])
 
 
 class TestRegularized:
@@ -80,14 +99,6 @@ class TestBayes:
             bayes = ar.bayes_estimate(problem, prior, sigma2, sigma_beta2)
             reg = ar.regularized_estimate(problem, prior.w_beta, kappa)
             assert_allclose(bayes.beta_hat, reg.beta_hat, rtol=1e-9, atol=1e-12)
-
-    def test_bayes_zero_mean_helper_agrees(self):
-        rng = np.random.default_rng(5)
-        problem, prior = random_fixture(rng, 8, 3, zero_mu=True)
-        direct = ar.bayes_zero_mean_estimate(problem, prior.w_beta, 0.5, 2.0)
-        general = ar.bayes_estimate(problem, prior, 0.5, 2.0)
-        assert_allclose(direct.beta_hat, general.beta_hat, rtol=1e-12)
-        assert direct.method is ar.EstimatorMethod.BAYES_ZERO_MEAN
 
     def test_tight_prior_pins_estimate_to_mean(self):
         rng = np.random.default_rng(6)

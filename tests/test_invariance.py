@@ -1,0 +1,71 @@
+"""Invariances of kappa selection, checked by hypothesis on small designs.
+
+With W = I the objectives see the data only through the residual
+r = y - A mu, measured against the column space of A. Rotating the rows
+of A and y by one orthogonal Q, or moving y by A delta together with mu
+by delta, changes neither, so the selected kappa and its boundary flag
+must not change beyond the search tolerance. Where the objective is
+flat at its minimum, rounding alone moves kappa_hat by more than that
+(a curvature of 1e-11 in ln kappa lets it move by a third); there the
+two kappas must instead give the same objective to 12 digits.
+
+Square designs (n = t) are left out: there the Case 1 objective goes
+flat as kappa -> 0, because the n ln kappa of its two terms cancels, and
+rounding alone moves kappa_hat by orders of magnitude.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import abicreg as ar
+from abicreg.selection import DEFAULT_REL_TOL
+from conftest import random_design
+
+INVARIANCE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+@st.composite
+def problems(draw):
+    """(problem, prior, rng): W = I, 3 <= n <= 10, 1 <= t < n, cond(A) up to 1e6."""
+    n = draw(st.integers(3, 10))
+    t = draw(st.integers(1, n - 1))
+    cond = 10.0 ** draw(st.floats(0.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    design = random_design(rng, n, t, cond=cond, identity_w=True)
+    problem = design.with_observations(rng.standard_normal(n))
+    return problem, ar.default_prior(t, mu=rng.standard_normal(t)), rng
+
+
+def assert_same_selection(problem, prior, other_problem, other_prior):
+    """Equal boundary flags in both cases, and kappa_hat within 3 rel_tol,
+    unless the objective is flat there: where it differs by at most 1e-12
+    relative between the two kappas, rounding decides and either is a minimizer."""
+    for sigma2 in (None, 1.0):
+        first, second = (
+            ar.select_case1(p, q) if sigma2 is None else ar.select_case2(p, q, sigma2)
+            for p, q in ((problem, prior), (other_problem, other_prior))
+        )
+        assert second.boundary_flag is first.boundary_flag
+        if abs(second.kappa_hat / first.kappa_hat - 1.0) > 3 * DEFAULT_REL_TOL:
+            objective = ar.MarginalObjective(ar.MarginalWorkspace(problem), prior, sigma2)
+            at_first, at_second = objective([first.kappa_hat, second.kappa_hat]).total[:, 0]
+            assert abs(at_second - at_first) <= 1e-12 * max(1.0, abs(at_first))
+
+
+@INVARIANCE
+@given(problems())
+def test_rotation_leaves_selection_unchanged(drawn):
+    problem, prior, rng = drawn
+    q = np.linalg.qr(rng.standard_normal((problem.n, problem.n)))[0]
+    rotated = ar.InverseProblem(q @ problem.a_matrix, q @ problem.y)
+    assert_same_selection(problem, prior, rotated, prior)
+
+
+@INVARIANCE
+@given(problems())
+def test_prior_mean_shift_leaves_selection_unchanged(drawn):
+    problem, prior, rng = drawn
+    delta = rng.standard_normal(problem.t)
+    shifted = ar.InverseProblem(problem.a_matrix, problem.y + problem.a_matrix @ delta)
+    assert_same_selection(problem, prior, shifted, ar.default_prior(problem.t, mu=prior.mu + delta))

@@ -201,6 +201,18 @@ class TestProblemFiles:
         with pytest.raises(ar.DomainError):
             ar.load_problem(path)
 
+    @pytest.mark.parametrize("key", ["sigma2", "sigma_beta2"])
+    @pytest.mark.parametrize(
+        "text",
+        ['"x"', "true", "[1.0]", "1e400", "1" + "0" * 400, "NaN"],
+        ids=["string", "bool", "list", "inf", "huge-int", "nan"],
+    )
+    def test_non_numeric_variance_rejected(self, tmp_path, key, text):
+        path = tmp_path / "p.json"
+        path.write_text(f'{{"A": [[1.0],[1.0]], "y": [1.0, 2.0], "{key}": {text}}}')
+        with pytest.raises(ar.DomainError, match=key):
+            ar.load_problem(path)
+
     def test_seventeen_digit_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(11)
         problem, prior = random_fixture(rng, 4, 2)
