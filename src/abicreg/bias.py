@@ -24,19 +24,35 @@ study selects kappa for its n x R block of measurements in one lockstep
 search per mode (selection.select_columns); each column's choice is
 bit-identical to select_case1/select_case2 on that replicate alone.
 
+The sigma2 study never colors its draws: it works in the whitened frame
+z = L_W^T r of the workspace, where the raw standard normals already are
+the noise, L_W^T eps = sqrt(sigma2) z_eps. A TrueMu prior draw,
+L_W^T A beta_dev = sqrt(sigma2/kappa) U diag(s) V^T z_beta, lies in
+range(U), so it adds sqrt(sigma2/kappa) s * (V^T z_beta) to c = U^T z
+and leaves the part orthogonal to U alone; ZeroMu adds L_W^T ybar to
+every replicate. Replicates are drawn in chunks of about 8 MB of rows.
+While this thread draws chunk k + 1, one worker thread reduces chunk k
+to its estimates, with the explicit difference z - U c of
+MarginalWorkspace.project_whitened; BLAS releases the GIL. Each chunk
+fills its own slice of the estimates, and the mean and standard error
+are taken once all are done, so thread timing cannot change a result.
+No n x R array is ever held.
+
 Per-replicate randomness comes from counter-based streams (Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC11): replicate r
 is numpy's Philox (Philox4x64-10) keyed by the seed, with its counter
 starting at (0, r, 0, 0). Replicates are order-independent and safe to
 parallelize, and one generator serves a whole block by resetting its
-counter. The key is 128 bits, so a seed must lie in [0, 2**128). The
-noise draw always consumes the stream first, which keeps the noise
+counter, so a chunk starting at any replicate draws what the whole
+block would. The key is 128 bits, so a seed must lie in [0, 2**128).
+The noise draw always consumes the stream first, which keeps the noise
 identical across modes that share a replicate index.
 """
 
 import enum
 import math
 import operator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -140,14 +156,12 @@ def _sigma2_terms(ops, ground_truth, sigma2):
     return signal, noise
 
 
-def _noise_block(design, sigma2, seed, replicates, extra_draws=0):
-    """Noise columns for R replicates, and optionally further standard normals.
+def _standard_rows(seed, start, out):
+    """Fill row i of ``out`` with the first standard normals of replicate
+    start + i, in one draw: noise first, then any extra draws.
 
-    Returns (eps (n, R), extra standard normals (extra_draws, R) or None).
-    Column r is replicate_stream(seed, r)'s first n normals, colored; its
-    extra column is the next extra_draws normals of that stream. One
-    Philox serves every replicate: setting its counter to (0, r, 0, 0)
-    with an empty buffer starts replicate r's stream.
+    One Philox serves every replicate: setting its counter to
+    (0, r, 0, 0) with an empty buffer starts replicate_stream(seed, r).
     """
     bit_generator = np.random.Philox(key=check_seed(seed))
     rng = np.random.Generator(bit_generator)
@@ -155,15 +169,26 @@ def _noise_block(design, sigma2, seed, replicates, extra_draws=0):
     # buffer_pos 4 marks the four-word output buffer empty; no half-used uint32 is kept
     state.update(buffer_pos=4, has_uint32=0)
     counter = state["state"]["counter"]
-    z_eps = np.empty((replicates, design.n))
-    z_extra = np.empty((replicates, extra_draws))
-    for r in range(replicates):
-        counter[1] = r
+    for i, row in enumerate(out):
+        counter[1] = start + i
         bit_generator.state = state
-        rng.standard_normal(out=z_eps[r])
-        if extra_draws:
-            rng.standard_normal(out=z_extra[r])
-    return _color(design.w, sigma2, z_eps.T), (z_extra.T if extra_draws else None)
+        rng.standard_normal(out=row)
+
+
+def _noise_block(design, sigma2, seed, replicates, extra_draws=0):
+    """Noise columns for R replicates, and optionally further standard normals.
+
+    Returns (eps (n, R), extra standard normals (extra_draws, R) or None),
+    the rows _standard_rows draws from replicate 0 with the noise colored.
+    """
+    z = np.empty((replicates, design.n + extra_draws))
+    _standard_rows(seed, 0, z)
+    eps = _color(design.w, sigma2, z[:, : design.n].T)
+    return eps, (z[:, design.n :].T if extra_draws else None)
+
+
+# Replicates are drawn and reduced in chunks of about this many bytes of normals
+_CHUNK_BYTES = 8 * 2**20
 
 
 def mc_sigma2_study(
@@ -183,6 +208,10 @@ def mc_sigma2_study(
     expectation is sigma2 itself. ZeroMu mode holds beta at the ground
     truth, analyzes with mu = 0, and compares against the sum of
     expected_sigma2_terms.
+
+    Replicates are drawn in chunks of rows on this thread while one
+    worker thread reduces the previous chunk to its estimates; see the
+    module docstring for the whitened frame the reduction works in.
     """
     mu_mode = MuMode(mu_mode)
     if replicates < MIN_REPLICATES:
@@ -195,23 +224,47 @@ def mc_sigma2_study(
     problem = design.with_observations(np.zeros(n))
     workspace = MarginalWorkspace(problem, prior.w_beta)
     ops = workspace.operators(kappa)
-
+    noise_scale = math.sqrt(sigma2)
     if mu_mode is MuMode.TRUE_MU:
-        eps, z_beta = _noise_block(design, sigma2, seed, replicates, extra_draws=t)
-        beta_dev = _color(prior.w_beta, sigma2 / kappa, z_beta)
-        # residual y - A mu = A (beta - mu) + eps
-        residuals = design.a_matrix @ beta_dev + eps
+        # L_W^T A beta_dev = sqrt(sigma2/kappa) U diag(s) V^T z_beta adds only to c
+        beta_scale = (math.sqrt(sigma2 / kappa) * workspace.s)[:, None]
+        extra_draws = t
         analytic = float(sigma2)
         sampling = "prior-draw"
     else:
-        eps, _ = _noise_block(design, sigma2, seed, replicates)
-        # mu = 0, so the residual is the measurement vector itself
-        residuals = ground_truth.y_bar[:, None] + eps
+        # mu = 0, so the residual is ybar + eps; whitened, L_W^T ybar + sqrt(sigma2) z
+        offset = workspace.w.mul_lower(ground_truth.y_bar, trans=True)
+        extra_draws = 0
         signal, noise = _sigma2_terms(ops, ground_truth, sigma2)
         analytic = signal + noise
         sampling = "fixed-truth"
 
-    estimates = ops.quad_form(residuals) / n
+    estimates = np.empty(replicates)
+
+    def reduce(start, rows):
+        """Estimates of the replicates whose standard normals are ``rows``."""
+        z = noise_scale * rows[:, :n]
+        if mu_mode is MuMode.ZERO_MU:
+            z += offset
+        perp, coef = workspace.project_whitened(z.T)
+        if mu_mode is MuMode.TRUE_MU:
+            coef += beta_scale * (workspace.vt @ rows[:, n:].T)
+        quad = perp + np.einsum("i,ij,ij->j", ops.damping, coef, coef)
+        estimates[start : start + len(rows)] = quad / n
+
+    chunk = max(1, _CHUNK_BYTES // (8 * (n + extra_draws)))
+    # the worker reduces chunk k while this thread draws chunk k + 1; each
+    # chunk fills its own slice of estimates, so thread timing changes nothing
+    with ThreadPoolExecutor(1) as worker:
+        pending = None
+        for start in range(0, replicates, chunk):
+            rows = np.empty((min(chunk, replicates - start), n + extra_draws))
+            _standard_rows(seed, start, rows)
+            if pending is not None:
+                pending.result()
+            pending = worker.submit(reduce, start, rows)
+        pending.result()
+
     mc_mean = float(np.mean(estimates))
     mc_std_error = float(np.std(estimates, ddof=1) / math.sqrt(replicates))
     return BiasReport(

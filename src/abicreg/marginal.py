@@ -46,7 +46,9 @@ projects an n x R residual block once; K kappas for all R columns are
 then one (K x t) by (t x R) product. Its einsum reductions run along
 contiguous rows, so a column rounds as it would alone and a Monte Carlo
 replicate equals its single selection bit for bit. MarginalOperators
-keeps the faster BLAS projection, whose rounding depends on the block.
+and the sigma2 Monte Carlo study (bias.mc_sigma2_study, which hands
+already whitened blocks to project_whitened) use the faster BLAS
+projection instead, whose rounding may depend on the block.
 
 All objectives drop the constant -(n/2) ln(2 pi) normalization term; the
 full log density is available from log_marginal_density.
@@ -59,7 +61,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
-from scipy.linalg import blas
 
 from . import serialize
 from ._linalg import spd_factor, spd_logdet, spd_solve, symmetrize
@@ -125,7 +126,7 @@ class MarginalOperators:
         self.n = workspace.n
         self.t = workspace.t
         # kappa / (s^2 + kappa): the share of each singular direction E^-1 keeps
-        self._damping = self.kappa / (workspace.s2 + self.kappa)
+        self.damping = self.kappa / (workspace.s2 + self.kappa)
         self.logdet = float(np.sum(np.log1p(workspace.s2 / self.kappa))) - workspace.w.logdet
 
     def solve(self, rhs):
@@ -141,12 +142,12 @@ class MarginalOperators:
         """r^T E^-1 r; columns are handled independently for a matrix input."""
         perp, coef = self._ws.project(residual)
         if coef.ndim == 1:
-            return perp + float(self._damping @ (coef * coef))
-        return perp + np.einsum("i,ij,ij->j", self._damping, coef, coef)
+            return perp + float(self.damping @ (coef * coef))
+        return perp + np.einsum("i,ij,ij->j", self.damping, coef, coef)
 
     def expected_noise_quad(self):
         """tr(E^-1 W^-1): E[r^T E^-1 r]/sigma2 under r ~ N(0, W^-1 sigma2)."""
-        return (self.n - self.t) + float(np.sum(self._damping))
+        return (self.n - self.t) + float(np.sum(self.damping))
 
 
 class MarginalWorkspace:
@@ -169,7 +170,7 @@ class MarginalWorkspace:
             u, self.s, self.vt = la.svd(whitened, full_matrices=False, check_finite=False)
         except la.LinAlgError as exc:
             raise FactorizationError(f"SVD of the whitened design failed: {exc}") from exc
-        # Fortran order lets project() pass U to BLAS without a copy
+        # Fortran order makes U^T the C-ordered view that project_rows reduces along
         self.u = np.asfortranarray(u)
         self.s2 = self.s * self.s
 
@@ -207,14 +208,19 @@ class MarginalWorkspace:
         For a matrix of residual columns both parts hold one entry per
         column.
         """
-        z = self.w.mul_lower(residual, trans=True)
+        return self.project_whitened(self.w.mul_lower(residual, trans=True))
+
+    def project_whitened(self, z):
+        """(|z - U c|^2, c) for an already whitened z = L_W^T r; z, a vector
+        or a matrix of columns, is overwritten with z - U c."""
         coef = self.u.T @ z
         if z.ndim == 1:
             z -= self.u @ coef
             return float(z @ z), coef
-        # z^T -= c^T U^T in place; forming U c apart would hold a second n x R block
-        perp = blas.dgemm(-1.0, coef.T, self.u, beta=1.0, c=z.T, trans_b=True, overwrite_c=True)
-        return np.einsum("ij,ij->i", perp, perp), coef
+        # U c formed as (c^T U^T)^T: for a Fortran-ordered block, such as the
+        # transposed rows of a Monte Carlo chunk, it then shares z's layout
+        z -= (coef.T @ self.u.T).T
+        return np.einsum("ij,ij->j", z, z), coef
 
     def project_rows(self, rows):
         """(|z - U c|^2, c) for each row r of an R x n block, (R,) and (R, t);

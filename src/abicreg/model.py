@@ -284,6 +284,9 @@ def default_prior(t, mu=None, w_beta=None, sigma_beta2=None):
     A zero mean substituted here sets ``mu_assumed_zero`` so the
     substitution stays visible in every report.
     """
+    # mu first: a wrong length is the mean's fault, not the identity W_beta's
+    if mu is not None:
+        mu = _as_vector(mu, "mu", length=t)
     w_beta = as_weight(w_beta, "w_beta", t)
     if mu is None:
         return PriorModel(np.zeros(t), w_beta, sigma_beta2, mu_assumed_zero=True)

@@ -1,12 +1,16 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from numpy.testing import assert_allclose
 
 import abicreg as ar
 from abicreg.selection import select_columns
-from conftest import random_design, random_prior, tiny_fixture
+from conftest import random_design, random_prior, random_spd, tiny_fixture
 
 
 class TestReplicateStream:
@@ -168,6 +172,116 @@ class TestMcSigma2Study:
         assert doc["mu_mode"] == "zero"
         assert doc["replicates"] == 150
         assert "Philox" in doc["rng"]
+
+
+def _dense_sigma2_reference(design, truth, w, w_beta, sigma2, kappa, replicates, seed, mu_mode):
+    """(mc_mean, mc_std_error) by redrawing every replicate through its own
+    stream, coloring with explicit Cholesky factors and solving with E."""
+    a, n, t = design.a_matrix, design.n, design.t
+    l_w, l_b = np.linalg.cholesky(w), np.linalg.cholesky(w_beta)
+    e = np.linalg.inv(w) + a @ np.linalg.inv(w_beta) @ a.T / kappa
+    estimates = []
+    for r in range(replicates):
+        stream = ar.replicate_stream(seed, r)
+        eps = math.sqrt(sigma2) * la.solve_triangular(l_w.T, stream.standard_normal(n))
+        if mu_mode == "true":
+            z_beta = stream.standard_normal(t)
+            residual = a @ (math.sqrt(sigma2 / kappa) * la.solve_triangular(l_b.T, z_beta)) + eps
+        else:
+            residual = truth.y_bar + eps
+        estimates.append(residual @ np.linalg.solve(e, residual) / n)
+    return np.mean(estimates), np.std(estimates, ddof=1) / math.sqrt(replicates)
+
+
+class TestSigma2StudyChunks:
+    """The chunked, whitened study against a dense per-replicate reference."""
+
+    @pytest.mark.parametrize("mu_mode", ["zero", "true"])
+    def test_matches_dense_reference_across_chunks(self, monkeypatch, mu_mode):
+        rng = np.random.default_rng(48)
+        n, t = 11, 4
+        w, w_beta = random_spd(rng, n), random_spd(rng, t)
+        design = ar.ProblemDesign(rng.standard_normal((n, t)), w)
+        truth = ar.GroundTruth.from_design(design, rng.standard_normal(t))
+        prior = ar.default_prior(t, mu=truth.beta_bar, w_beta=w_beta)
+        sigma2, kappa, replicates, seed = 0.3, 2.0, 150, 9
+        args = (design, truth, prior, sigma2, kappa, replicates, seed, mu_mode)
+        default = ar.mc_sigma2_study(*args)
+        # 40 rows of noise per chunk: zero mu takes 40, 40, 40, 30 replicates,
+        # true mu (t more normals per row) 29 at a time and then 5
+        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 8 * 40 * n)
+        # switch threads as often as the interpreter allows while chunks overlap
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = ar.mc_sigma2_study(*args)
+        finally:
+            sys.setswitchinterval(interval)
+        mean, std_error = _dense_sigma2_reference(
+            design, truth, w, w_beta, sigma2, kappa, replicates, seed, mu_mode
+        )
+        assert report.mc_mean == pytest.approx(mean, rel=1e-10)
+        assert report.mc_std_error == pytest.approx(std_error, rel=1e-10)
+        assert report == default
+
+    @pytest.mark.parametrize("mu_mode", ["zero", "true"])
+    def test_peak_memory_below_one_block(self, mu_mode):
+        n, t, replicates = 400, 100, 30000
+        design, exact = ar.spectrum_problem(n, t, decay=6.0, seed=1)
+        truth = ar.GroundTruth.from_design(design, exact)
+        prior = ar.default_prior(t, mu=exact)
+        tracemalloc.start()
+        try:
+            ar.mc_sigma2_study(design, truth, prior, 1e-6, 1e-4, replicates, 3, mu_mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n x R float64 block; drawing and reducing the whole block at once
+        # held four or five of them
+        assert peak < n * replicates * 8, f"peak traced memory {peak / 2**20:.1f} MiB"
+
+    def _spy_study(self, monkeypatch, fail_draw=False, fail_reduce=False):
+        """Run a several-chunk study; returns the threads alive during its
+        reductions, beyond those alive before it."""
+        design, _, prior, truth = tiny_fixture()
+        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 8 * 20 * design.n)
+        before = set(threading.enumerate())
+        extra = []
+        draw_rows, project = ar.bias._standard_rows, ar.MarginalWorkspace.project_whitened
+
+        def spy_draw(seed, start, out):
+            if fail_draw and start > 0:
+                raise MemoryError("draw failed")
+            draw_rows(seed, start, out)
+
+        def spy_project(workspace, z):
+            if z.ndim == 2:  # a chunk; the analytic terms project one vector
+                extra.append(set(threading.enumerate()) - before)
+            if fail_reduce:
+                raise FloatingPointError("reduction failed")
+            return project(workspace, z)
+
+        monkeypatch.setattr(ar.bias, "_standard_rows", spy_draw)
+        monkeypatch.setattr(ar.MarginalWorkspace, "project_whitened", spy_project)
+        try:
+            ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=150, seed=2)
+        finally:
+            assert set(threading.enumerate()) == before
+        return extra
+
+    def test_one_worker_thread_joined_on_return(self, monkeypatch):
+        extra = self._spy_study(monkeypatch)
+        assert len(extra) == 8  # 150 replicates in chunks of 20
+        assert all(len(threads) == 1 for threads in extra)
+        assert len(set.union(*extra)) == 1
+
+    def test_worker_joined_when_a_draw_raises(self, monkeypatch):
+        with pytest.raises(MemoryError, match="draw failed"):
+            self._spy_study(monkeypatch, fail_draw=True)
+
+    def test_worker_joined_when_a_reduction_raises(self, monkeypatch):
+        with pytest.raises(FloatingPointError, match="reduction failed"):
+            self._spy_study(monkeypatch, fail_reduce=True)
 
 
 class TestMcKappaStudy:

@@ -77,6 +77,15 @@ class TestPriorModel:
         with pytest.raises(ar.DimensionError):
             ar.default_prior(2, mu=[1.0, 2.0, 3.0])
 
+    def test_mu_length_error_names_mu(self, tmp_path):
+        # without a W_beta key the identity is built for t; the error is still mu's
+        with pytest.raises(ar.DimensionError, match="^mu has length 2, expected 1$"):
+            ar.default_prior(1, mu=[1.0, 2.0])
+        path = tmp_path / "p.json"
+        path.write_text('{"A": [[1.0],[1.0]], "y": [1.0, 2.0], "mu": [1.0, 2.0]}')
+        with pytest.raises(ar.DimensionError, match="^mu has length 2, expected 1$"):
+            ar.load_problem(path)
+
 
 class TestValidation:
     def test_all_pass_on_good_fixture(self):
