@@ -42,7 +42,7 @@ Per-replicate randomness comes from counter-based streams (Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC11): replicate r
 is numpy's Philox (Philox4x64-10) keyed by the seed, with its counter
 starting at (0, r, 0, 0). Replicates are order-independent and safe to
-parallelize, and one generator serves a whole block by resetting its
+parallelize, and one generator serves a whole study by resetting its
 counter, so a chunk starting at any replicate draws what the whole
 block would. The key is 128 bits, so a seed must lie in [0, 2**128).
 The noise draw always consumes the stream first, which keeps the noise
@@ -156,22 +156,28 @@ def _sigma2_terms(ops, ground_truth, sigma2):
     return signal, noise
 
 
-def _standard_rows(seed, start, out):
-    """Fill row i of ``out`` with the first standard normals of replicate
-    start + i, in one draw: noise first, then any extra draws.
-
-    One Philox serves every replicate: setting its counter to
-    (0, r, 0, 0) with an empty buffer starts replicate_stream(seed, r).
-    """
+def _replicate_streams(seed):
+    """Every replicate stream of ``seed`` from one Philox, for _standard_rows:
+    (generator, state with an empty output buffer and counter (0, 0, 0, 0))."""
     bit_generator = np.random.Philox(key=check_seed(seed))
-    rng = np.random.Generator(bit_generator)
     state = bit_generator.state
     # buffer_pos 4 marks the four-word output buffer empty; no half-used uint32 is kept
     state.update(buffer_pos=4, has_uint32=0)
+    return np.random.Generator(bit_generator), state
+
+
+def _standard_rows(streams, start, out):
+    """Fill row i of ``out`` with the first standard normals of replicate
+    start + i, in one draw: noise first, then any extra draws.
+
+    ``streams`` comes from _replicate_streams(seed): setting the counter
+    of its one Philox to (0, r, 0, 0) starts replicate_stream(seed, r).
+    """
+    rng, state = streams
     counter = state["state"]["counter"]
     for i, row in enumerate(out):
         counter[1] = start + i
-        bit_generator.state = state
+        rng.bit_generator.state = state
         rng.standard_normal(out=row)
 
 
@@ -182,7 +188,7 @@ def _noise_block(design, sigma2, seed, replicates, extra_draws=0):
     the rows _standard_rows draws from replicate 0 with the noise colored.
     """
     z = np.empty((replicates, design.n + extra_draws))
-    _standard_rows(seed, 0, z)
+    _standard_rows(_replicate_streams(seed), 0, z)
     eps = _color(design.w, sigma2, z[:, : design.n].T)
     return eps, (z[:, design.n :].T if extra_draws else None)
 
@@ -220,6 +226,7 @@ def mc_sigma2_study(
         raise DomainError(f"kappa must be positive, got {kappa}")
     if not sigma2 > 0:
         raise DomainError(f"sigma2 must be positive, got {sigma2}")
+    streams = _replicate_streams(seed)
     n, t = design.n, design.t
     problem = design.with_observations(np.zeros(n))
     workspace = MarginalWorkspace(problem, prior.w_beta)
@@ -259,7 +266,7 @@ def mc_sigma2_study(
         pending = None
         for start in range(0, replicates, chunk):
             rows = np.empty((min(chunk, replicates - start), n + extra_draws))
-            _standard_rows(seed, start, rows)
+            _standard_rows(streams, start, rows)
             if pending is not None:
                 pending.result()
             pending = worker.submit(reduce, start, rows)

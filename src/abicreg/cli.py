@@ -201,8 +201,7 @@ def _bias_inputs(args):
         if args.truth is None:
             raise CliConfigError("bias-study with --problem also needs --truth")
         loaded = load_problem(args.problem)
-        with open(args.truth, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+        doc = serialize.load(args.truth)
         if not isinstance(doc, dict) or "exact_solution" not in doc:
             raise CliConfigError("truth file must be a JSON object with an exact_solution key")
         try:

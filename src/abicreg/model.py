@@ -14,7 +14,6 @@ time a computation needs W = L L^T. Consumers ask the weight for W x,
 L x, L^-1 x or ln det W instead of working on an n x n array.
 """
 
-import json
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -456,8 +455,7 @@ def load_problem(path):
     identity; a missing ``mu`` means the zero vector, recorded via
     ``mu_assumed_zero`` on the prior.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+    raw = serialize.load(path)
     if not isinstance(raw, dict):
         raise DomainError(f"problem file must hold a JSON object, got {type(raw).__name__}")
     unknown = set(raw) - _PROBLEM_KEYS

@@ -303,7 +303,7 @@ class TestTopLevel:
         assert proc.returncode == 2
 
 
-# A valid 2 x 1 problem; each fuzz case edits one key or replaces the whole text.
+# A valid 2 x 1 problem; each fuzz case edits one key or replaces the whole file (text or bytes).
 GOOD_PROBLEM = {"A": [[1.0], [2.0]], "y": [1.0, 3.0], "mu": [1.0], "sigma2": 0.01, "sigma_beta2": 1.0}
 SOLVE = "solve --problem {problem} --out {out} --method"
 SELECT = "select-kappa --problem {problem} --out {out}"
@@ -348,6 +348,7 @@ FUZZ_CASES = [
     fuzz("y-nan", SELECT, 2, '{"A": [[1.0], [2.0]], "y": [NaN, 1.0]}'),
     fuzz("not-an-object", SELECT, 2, "[1.0]"),
     fuzz("not-json", SELECT, 2, "{A:"),
+    fuzz("problem-not-utf8", SELECT, 2, json.dumps(GOOD_PROBLEM).encode() + b"\xff"),
     fuzz("solve-ls-indefinite-w", f"{SOLVE} ls", 3, INDEFINITE),
     fuzz("solve-bayes-indefinite-w", f"{SOLVE} bayes", 3, INDEFINITE),
     fuzz("select-indefinite-w", SELECT, 3, INDEFINITE),
@@ -357,6 +358,7 @@ FUZZ_CASES = [
     fuzz("truth-text", BIAS_FILES, 2, truth='{"exact_solution": "abc"}'),
     fuzz("truth-wrong-length", BIAS_FILES, 2, truth='{"exact_solution": [1.0, 2.0]}'),
     fuzz("truth-missing-key", BIAS_FILES, 2, truth="{}"),
+    fuzz("truth-not-utf8", BIAS_FILES, 2, truth=b'{"exact_solution": [1.0]}\xff'),
     fuzz("missing-problem", "select-kappa --problem {out}/nope.json --out {out}", 4),
 ]
 
@@ -370,8 +372,11 @@ class TestInProcessFuzz:
             edited = {**GOOD_PROBLEM, **problem}
             problem = json.dumps({key: value for key, value in edited.items() if value is not None})
         paths = {"problem": tmp_path / "problem.json", "truth": tmp_path / "truth.json"}
-        paths["problem"].write_text(problem)
-        paths["truth"].write_text(truth)
+        for key, content in (("problem", problem), ("truth", truth)):
+            if isinstance(content, bytes):
+                paths[key].write_bytes(content)
+            else:
+                paths[key].write_text(content)
         argv = [arg.format(out=tmp_path / "out", **paths) for arg in argv.split()]
         exit_code = cli.main(argv)
         stderr = capsys.readouterr().err

@@ -1,7 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import abicreg as ar
@@ -221,6 +224,51 @@ class TestProblemFiles:
         path.write_text(f'{{"A": [[1.0],[1.0]], "y": [1.0, 2.0], "{key}": {text}}}')
         with pytest.raises(ar.DomainError, match=key):
             ar.load_problem(path)
+
+    @settings(
+        derandomize=True,
+        max_examples=60,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.data())
+    def test_loader_matches_stdlib_parse_bit_for_bit(self, tmp_path, data):
+        """Every array load_problem returns holds exactly the doubles of the
+        stdlib parse, for files written by save_problem and as raw JSON text."""
+        extreme = [0.0, -0.0, 5e-324, -5e-324, 2.225e-308, sys.float_info.max, -sys.float_info.max]
+        values = (
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from(extreme)
+            | st.integers(2**63, 2**70)
+            | st.integers(-(2**70), -(2**63))
+        )
+        n = data.draw(st.integers(1, 4), label="n")
+        t = data.draw(st.integers(1, n), label="t")
+
+        def draw(*shape):
+            size = int(np.prod(shape))
+            flat = data.draw(st.lists(values, min_size=size, max_size=size))
+            return flat if len(shape) == 1 else [flat[i * shape[1] : (i + 1) * shape[1]] for i in range(shape[0])]
+
+        doc = {"A": draw(n, t), "y": draw(n), "W": draw(n, n), "W_beta": draw(t, t), "mu": draw(t)}
+        path = tmp_path / "p.json"
+        raw = json.dumps(doc)
+        problem = ar.InverseProblem(doc["A"], doc["y"], doc["W"])
+        ar.save_problem(path, problem, ar.default_prior(t, doc["mu"], doc["W_beta"]))
+        for text in (path.read_text(), raw):
+            path.write_text(text)
+            loaded = ar.load_problem(path)
+            got = {
+                "A": loaded.problem.a_matrix,
+                "y": loaded.problem.y,
+                "W": loaded.problem.w.matrix,
+                "W_beta": loaded.prior.w_beta.matrix,
+                "mu": loaded.prior.mu,
+            }
+            for key, value in json.loads(text).items():
+                want = np.asarray(value, dtype=float)
+                assert np.array_equal(got[key].view(np.uint64), want.view(np.uint64)), key
 
     def test_seventeen_digit_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(11)
