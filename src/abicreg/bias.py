@@ -31,8 +31,8 @@ L_W^T A beta_dev = sqrt(sigma2/kappa) U diag(s) V^T z_beta, lies in
 range(U), so it adds sqrt(sigma2/kappa) s * (V^T z_beta) to c = U^T z
 and leaves the part orthogonal to U alone; ZeroMu adds L_W^T ybar to
 every replicate. Replicates are drawn in chunks of about 8 MB of rows.
-While this thread draws chunk k + 1, one worker thread reduces chunk k
-to its estimates, with the explicit difference z - U c of
+While one worker thread draws chunk k + 1, the calling thread reduces
+chunk k to its estimates, with the explicit difference z - U c of
 MarginalWorkspace.project_whitened; BLAS releases the GIL. Each chunk
 fills its own slice of the estimates, and the mean and standard error
 are taken once all are done, so thread timing cannot change a result.
@@ -166,19 +166,20 @@ def _replicate_streams(seed):
     return np.random.Generator(bit_generator), state
 
 
-def _standard_rows(streams, start, out):
-    """Fill row i of ``out`` with the first standard normals of replicate
-    start + i, in one draw: noise first, then any extra draws.
+def _standard_rows(streams, start, blocks):
+    """Fill row i of each array in ``blocks`` with the next standard normals
+    of replicate start + i, block by block: noise first, then any extra draws.
 
     ``streams`` comes from _replicate_streams(seed): setting the counter
     of its one Philox to (0, r, 0, 0) starts replicate_stream(seed, r).
     """
     rng, state = streams
     counter = state["state"]["counter"]
-    for i, row in enumerate(out):
+    for i, rows in enumerate(zip(*blocks)):
         counter[1] = start + i
         rng.bit_generator.state = state
-        rng.standard_normal(out=row)
+        for row in rows:
+            rng.standard_normal(out=row)
 
 
 def _noise_block(design, sigma2, seed, replicates, extra_draws=0):
@@ -188,7 +189,7 @@ def _noise_block(design, sigma2, seed, replicates, extra_draws=0):
     the rows _standard_rows draws from replicate 0 with the noise colored.
     """
     z = np.empty((replicates, design.n + extra_draws))
-    _standard_rows(_replicate_streams(seed), 0, z)
+    _standard_rows(_replicate_streams(seed), 0, [z])
     eps = _color(design.w, sigma2, z[:, : design.n].T)
     return eps, (z[:, design.n :].T if extra_draws else None)
 
@@ -215,9 +216,9 @@ def mc_sigma2_study(
     truth, analyzes with mu = 0, and compares against the sum of
     expected_sigma2_terms.
 
-    Replicates are drawn in chunks of rows on this thread while one
-    worker thread reduces the previous chunk to its estimates; see the
-    module docstring for the whitened frame the reduction works in.
+    One worker thread draws the next chunk of replicates while this
+    thread reduces the current one to its estimates; see the module
+    docstring for the whitened frame the reduction works in.
     """
     mu_mode = MuMode(mu_mode)
     if replicates < MIN_REPLICATES:
@@ -248,29 +249,41 @@ def mc_sigma2_study(
 
     estimates = np.empty(replicates)
 
-    def reduce(start, rows):
-        """Estimates of the replicates whose standard normals are ``rows``."""
-        z = noise_scale * rows[:, :n]
+    def reduce(start, z, extra=None):
+        """Estimates of the replicates whose standard normals are the rows of
+        ``z``, the noise, and ``extra``; z is overwritten."""
+        z *= noise_scale
         if mu_mode is MuMode.ZERO_MU:
             z += offset
         perp, coef = workspace.project_whitened(z.T)
         if mu_mode is MuMode.TRUE_MU:
-            coef += beta_scale * (workspace.vt @ rows[:, n:].T)
+            coef += beta_scale * (workspace.vt @ extra.T)
         quad = perp + np.einsum("i,ij,ij->j", ops.damping, coef, coef)
-        estimates[start : start + len(rows)] = quad / n
+        estimates[start : start + len(z)] = quad / n
 
     chunk = max(1, _CHUNK_BYTES // (8 * (n + extra_draws)))
-    # the worker reduces chunk k while this thread draws chunk k + 1; each
-    # chunk fills its own slice of estimates, so thread timing changes nothing
+    starts = range(0, replicates, chunk)
+    # Two sets of chunk buffers, made once. The worker draws chunk k + 1 into
+    # one set while this thread reduces chunk k in the other, so every large
+    # temporary is made and freed on this thread, in the same order each run;
+    # what a study holds does not depend on thread timing, and since each
+    # chunk fills its own slice of estimates, neither does its result.
+    widths = (n, extra_draws) if extra_draws else (n,)
+    buffers = [[np.empty((min(chunk, replicates), w)) for w in widths] for _ in range(2)]
+
+    def draw(k):
+        blocks = [block[: replicates - starts[k]] for block in buffers[k % 2]]
+        _standard_rows(streams, starts[k], blocks)
+        return blocks
+
     with ThreadPoolExecutor(1) as worker:
-        pending = None
-        for start in range(0, replicates, chunk):
-            rows = np.empty((min(chunk, replicates - start), n + extra_draws))
-            _standard_rows(streams, start, rows)
-            if pending is not None:
-                pending.result()
-            pending = worker.submit(reduce, start, rows)
-        pending.result()
+        pending = worker.submit(draw, 0)
+        for k, start in enumerate(starts):
+            blocks = pending.result()
+            if k + 1 < len(starts):
+                # into the set chunk k - 1 used, reduced on the last pass
+                pending = worker.submit(draw, k + 1)
+            reduce(start, *blocks)
 
     mc_mean = float(np.mean(estimates))
     mc_std_error = float(np.std(estimates, ddof=1) / math.sqrt(replicates))

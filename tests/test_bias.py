@@ -275,6 +275,23 @@ class TestSigma2StudyChunks:
         assert all(len(threads) == 1 for threads in extra)
         assert len(set.union(*extra)) == 1
 
+    def test_reductions_run_on_the_calling_thread(self, monkeypatch):
+        # the worker only draws into buffers made before it starts, so every
+        # large temporary is made and freed on one thread in a fixed order and
+        # the study's memory does not depend on thread timing
+        design, _, prior, truth = tiny_fixture()
+        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 8 * 20 * design.n)
+        threads = []
+        project = ar.MarginalWorkspace.project_whitened
+
+        def spy_project(workspace, z):
+            threads.append(threading.current_thread())
+            return project(workspace, z)
+
+        monkeypatch.setattr(ar.MarginalWorkspace, "project_whitened", spy_project)
+        ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=150, seed=2)
+        assert len(threads) > 1 and set(threads) == {threading.current_thread()}
+
     def test_worker_joined_when_a_draw_raises(self, monkeypatch):
         with pytest.raises(MemoryError, match="draw failed"):
             self._spy_study(monkeypatch, fail_draw=True)
