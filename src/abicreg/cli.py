@@ -2,10 +2,11 @@
 
 Every run writes a ``config.json`` with the fully resolved settings and
 a ``result.json`` wrapping the computed result, both stamped with the
-package version and serialized at 17 significant digits so repeated runs
-are byte-identical. Errors leave a single JSON object on stderr and a
-category exit code: 2 for configuration or input problems, 3 for
-numerical failures, 4 for I/O.
+package version and written as compact JSON with shortest round-trip
+floats, so repeated runs are byte-identical. Errors leave a single JSON
+object on stderr and a category exit code: 2 for configuration or input
+problems, 3 for numerical failures, 4 for I/O. A request too large for
+memory is a configuration error.
 """
 
 import argparse
@@ -67,7 +68,7 @@ def _finite(text):
 
 def _fail(code, category, message):
     payload = {"version": __version__, "error": {"category": category, "message": message}}
-    sys.stderr.write(serialize.dumps(payload))
+    sys.stderr.write(serialize.dumps(payload).decode())
     return code
 
 
@@ -425,6 +426,8 @@ def main(argv=None):
         return _fail(EXIT_CONFIG, "config", str(exc))
     except json.JSONDecodeError as exc:
         return _fail(EXIT_CONFIG, "config", f"invalid JSON: {exc}")
+    except MemoryError as exc:
+        return _fail(EXIT_CONFIG, "config", f"the requested size does not fit in memory: {exc}")
     except (FactorizationError, DegenerateProblemError, EvaluationError) as exc:
         return _fail(EXIT_NUMERIC, "numeric", str(exc))
     except OSError as exc:

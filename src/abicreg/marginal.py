@@ -62,9 +62,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as la
 
-from . import serialize
 from ._linalg import spd_factor, spd_logdet, spd_solve, symmetrize
-from .errors import DegenerateProblemError, DomainError, FactorizationError, SingularMatrixError
+from .errors import (
+    DegenerateProblemError,
+    DomainError,
+    EvaluationError,
+    FactorizationError,
+    SingularMatrixError,
+)
 from .model import RANK_TOL_FACTOR, as_weight
 
 __all__ = [
@@ -450,10 +455,22 @@ def sweep_objective(problem, prior, case=1, sigma2=None, log10_bracket=(-12.0, 1
     return [SweepRow(*row, value.case_tag.value) for row in rows]
 
 
+def _csv_float(value):
+    value = float(value)
+    if not math.isfinite(value):
+        raise EvaluationError(f"non-finite value {value!r} is not representable in the sweep CSV")
+    return repr(value)
+
+
 def write_sweep_csv(path, rows):
-    """Write sweep rows as CSV at 17 significant digits."""
+    """Write sweep rows as CSV with shortest round-trip floats, the digits of the JSON files.
+
+    Every row is formatted before the file is opened, so a non-finite
+    value raises EvaluationError and leaves no file, as ``serialize.dump`` does.
+    """
+    lines = [SWEEP_HEADER]
+    for row in rows:
+        numbers = (row.kappa, row.quad_term, row.logdet_term, row.objective)
+        lines.append(",".join([*map(_csv_float, numbers), row.case]))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(SWEEP_HEADER + "\n")
-        for row in rows:
-            numbers = (row.kappa, row.quad_term, row.logdet_term, row.objective)
-            handle.write(",".join([*map(serialize.format_float, numbers), row.case]) + "\n")
+        handle.write("\n".join(lines) + "\n")

@@ -475,7 +475,7 @@ def load_problem(path):
 
 
 def save_problem(path, problem, prior=None, sigma2=None, sigma_beta2=None):
-    """Write the JSON problem-file format (17 significant digits).
+    """Write the JSON problem-file format (shortest round-trip floats, compact JSON).
 
     A weight is written only when it stores a matrix, so an identity
     weight is never materialized; a prior whose mean was assumed zero is

@@ -1,8 +1,10 @@
-"""Deterministic JSON emission at 17 significant digits, and one reader.
+"""One JSON writer and one JSON reader, both orjson.
 
-The stdlib encoder formats floats with shortest-roundtrip repr and cannot
-be overridden from the C fast path, so reproducibility-sensitive outputs
-(result.json, config.json) go through this small writer instead.
+Every JSON file the package writes goes through ``dump``: compact JSON
+with shortest round-trip floats, so each double parses back bit for bit
+and a rerun writes the same bytes. orjson would write NaN and ±inf as
+``null``, so the writer first rejects a non-finite float anywhere in the
+document with EvaluationError.
 
 Every JSON file the package reads goes through ``load``. It parses with
 orjson, which turns a large float array into Python floats several times
@@ -14,90 +16,51 @@ a file reaches the same checks, and fails with the same error, as before.
 """
 
 import json
+import math
 
 import numpy as np
 import orjson
 
 from .errors import DomainError, EvaluationError
 
-__all__ = ["format_float", "dumps", "dump", "load"]
+__all__ = ["dumps", "dump", "load"]
 
 
-def format_float(value):
-    """Render a float with 17 significant digits (round-trips exactly)."""
-    value = float(value)
-    if not np.isfinite(value):
-        raise EvaluationError(f"non-finite value {value!r} is not representable in JSON")
-    return format(value, ".17g")
-
-
-def _encode_floats(values, indent, level):
-    """_encode of a finite float array's tolist(), one format call per value."""
-    if not isinstance(values, list):
-        return format(values, ".17g")
-    if not values:
-        return "[]"
-    if not isinstance(values[0], list):
-        return "[" + ", ".join([format(v, ".17g") for v in values]) + "]"
-    inner = " " * (indent * (level + 1))
-    body = ",\n".join(inner + _encode_floats(row, indent, level + 1) for row in values)
-    return "[\n" + body + "\n" + " " * (indent * level) + "]"
-
-
-def _is_scalar(obj):
-    return not isinstance(obj, (list, tuple, dict, np.ndarray))
-
-
-def _encode(obj, indent, level):
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":
-            if not np.isfinite(obj).all():
-                raise EvaluationError("non-finite array values are not representable in JSON")
-            return _encode_floats(obj.tolist(), indent, level)
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            return "[]"
-        if all(_is_scalar(item) for item in items):
-            return "[" + ", ".join(_encode(item, indent, 0) for item in items) + "]"
-        body = ",\n".join(inner + _encode(item, indent, level + 1) for item in items)
-        return "[\n" + body + "\n" + pad + "]"
+def _check_finite(obj):
+    """Raise EvaluationError for a non-finite float anywhere in ``obj``."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(
-                inner + json.dumps(key, ensure_ascii=False) + ": "
-                + _encode(value, indent, level + 1)
-            )
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        for value in obj.values():
+            _check_finite(value)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _check_finite(item)
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            raise EvaluationError("non-finite array values are not representable in JSON")
+    elif isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        raise EvaluationError(f"non-finite value {obj!r} is not representable in JSON")
+
+
+def _default(obj):
+    # orjson takes only C-contiguous arrays directly; a transposed or strided one comes here
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def dumps(obj, indent=2):
-    return _encode(obj, indent, 0) + "\n"
+def dumps(obj):
+    """``obj`` as compact JSON bytes with shortest round-trip floats and a final newline."""
+    _check_finite(obj)
+    return orjson.dumps(
+        obj, default=_default, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    )
 
 
-def dump(obj, path, indent=2):
-    text = dumps(obj, indent=indent)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+def dump(obj, path):
+    """Write ``dumps(obj)`` to ``path``; a document that fails to encode leaves no file."""
+    data = dumps(obj)
+    with open(path, "wb") as handle:
+        handle.write(data)
 
 
 def load(path):

@@ -178,6 +178,24 @@ class TestSelectKappa:
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["error"]["category"] == "config"
 
+    def test_non_finite_result_exits_3_without_result_file(self, tmp_path):
+        # y * 1e160 makes the case-1 sigma2_hat overflow; orjson alone would write it as null
+        gen = run_cli(
+            "generate", "--kind", "phillips", "--n", "32", "--sigma2", "1e-4",
+            "--seed", "3", "--out", "g", cwd=tmp_path,
+        )
+        assert gen.returncode == 0, gen.stderr
+        doc = read_json(tmp_path / "g" / "problem.json")
+        doc["y"] = [value * 1e160 for value in doc["y"]]
+        (tmp_path / "scaled.json").write_text(json.dumps(doc))
+        proc = run_cli(
+            "select-kappa", "--problem", "scaled.json", "--mu-mode", "zero", "--out", "s",
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(proc.stderr)["error"]["category"] == "numeric"
+        assert not (tmp_path / "s" / "result.json").exists()
+
     def test_bracket_outside_float_range_exits_2(self, generated):
         proc = run_cli(
             "select-kappa", "--problem", "gen/problem.json", "--bracket", "-400", "400",
@@ -359,6 +377,14 @@ FUZZ_CASES = [
     fuzz("truth-wrong-length", BIAS_FILES, 2, truth='{"exact_solution": [1.0, 2.0]}'),
     fuzz("truth-missing-key", BIAS_FILES, 2, truth="{}"),
     fuzz("truth-not-utf8", BIAS_FILES, 2, truth=b'{"exact_solution": [1.0]}\xff'),
+    # arrays of 7 PiB, 728 TiB and 71 PiB exceed any address space, so numpy refuses them at once
+    fuzz("sweep-points-too-large", f"{SWEEP} --points 1000000000000000", 2),
+    fuzz(
+        "bias-replicates-too-large",
+        f"{BIAS_GEN} --study sigma2 --sigma2 0.01 --kappa 1 --replicates 100000000000000",
+        2,
+    ),
+    fuzz("generate-n-too-large", "generate --kind phillips --n 100000000 --out {out}", 2),
     fuzz("missing-problem", "select-kappa --problem {out}/nope.json --out {out}", 4),
 ]
 

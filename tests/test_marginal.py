@@ -251,5 +251,12 @@ class TestSweep:
         assert len(first) == 5
         assert float(first[0]) == pytest.approx(1e-12)
         assert first[4] == "case2"
-        # 17 significant digits reproduce the doubles exactly
+        # shortest round-trip digits reproduce the doubles exactly
         assert float(first[1]) == rows[0].quad_term
+
+    def test_non_finite_row_raises_and_writes_no_file(self, tmp_path):
+        row = ar.SweepRow(1.0, float("inf"), 0.5, float("inf"), "case1")
+        path = tmp_path / "sweep.csv"
+        with pytest.raises(ar.EvaluationError):
+            ar.write_sweep_csv(path, [row])
+        assert not path.exists()

@@ -270,7 +270,7 @@ class TestProblemFiles:
                 want = np.asarray(value, dtype=float)
                 assert np.array_equal(got[key].view(np.uint64), want.view(np.uint64)), key
 
-    def test_seventeen_digit_round_trip_is_exact(self, tmp_path):
+    def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(11)
         problem, prior = random_fixture(rng, 4, 2)
         path = tmp_path / "p.json"

@@ -1,33 +1,82 @@
+import sys
+
 import numpy as np
 import pytest
 
 import abicreg as ar
-from abicreg.serialize import dumps, format_float
+from abicreg.marginal import kappa_grid
+from abicreg.selection import DEFAULT_BRACKET
+from abicreg.serialize import dump, dumps, load
 
 
-def test_arrays_render_like_per_value_format_float():
-    matrix = np.array([[0.1, -2.5e-300, 1.0 / 3.0], [7.0, -0.0, 6.02214076e23]])
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_extreme_doubles_round_trip_bit_identical(tmp_path):
+    extremes = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, 1.0 / 3.0]
+    log10_grid, kappas = kappa_grid(DEFAULT_BRACKET, 97)
     doc = {
-        "matrix": matrix,
-        "counts": np.array([3, -1]),
-        "flags": [True, np.bool_(False)],
-        "missing": None,
+        "listed": extremes,
+        "array": np.array(extremes),
+        "scalars": [np.float64(value) for value in extremes],
+        "log10_grid": log10_grid,
+        "kappas": kappas,
     }
-    rows = [", ".join(format_float(value) for value in row) for row in matrix]
-    expected = (
-        "{\n"
-        '  "matrix": [\n'
-        f"    [{rows[0]}],\n"
-        f"    [{rows[1]}]\n"
-        "  ],\n"
-        '  "counts": [3, -1],\n'
-        '  "flags": [true, false],\n'
-        '  "missing": null\n'
-        "}\n"
-    )
-    assert dumps(doc) == expected
+    path = tmp_path / "doc.json"
+    dump(doc, path)
+    loaded = load(path)
+    assert list(loaded) == list(doc)
+    for key, values in doc.items():
+        assert np.array_equal(bits(loaded[key]), bits(values)), key
 
 
-def test_array_with_nan_raises():
+def test_layouts_and_numpy_scalars_round_trip(tmp_path):
+    matrix = np.arange(12.0).reshape(3, 4) / 7.0
+    doc = {
+        "fortran": np.asfortranarray(matrix),
+        "strided": matrix[::2, ::3],
+        "flags": [np.bool_(True), np.bool_(False)],
+        "counts": [np.int64(-3), np.uint8(7)],
+        "pair": (1.5, (2, None)),
+    }
+    path = tmp_path / "doc.json"
+    dump(doc, path)
+    loaded = load(path)
+    assert np.array_equal(bits(loaded["fortran"]), bits(matrix))
+    assert np.array_equal(bits(loaded["strided"]), bits(matrix[::2, ::3]))
+    assert loaded["flags"] == [True, False]
+    assert loaded["counts"] == [-3, 7]
+    assert loaded["pair"] == [1.5, [2, None]]
+    # one fixed layout: compact, shortest round-trip floats, a final newline
+    assert dumps({"a": [0.1, -0.0, 1e300], "b": None}) == b'{"a":[0.1,-0.0,1e300],"b":null}\n'
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        float("nan"),
+        np.float64("inf"),
+        [[1.0, 2.0], [3.0, float("nan")]],
+        np.array([1.0, np.nan, 2.0]),
+    ],
+    ids=["python-nan", "numpy-inf", "nested-list-nan", "array-nan"],
+)
+def test_non_finite_raises_and_writes_no_file(tmp_path, value):
+    path = tmp_path / "doc.json"
     with pytest.raises(ar.EvaluationError):
-        dumps({"values": np.array([1.0, np.nan, 2.0])})
+        dump({"ok": 1.0, "value": value}, path)
+    assert not path.exists()
+
+
+def test_save_problem_fortran_design_round_trips(tmp_path):
+    rng = np.random.default_rng(5)
+    a = np.asfortranarray(rng.standard_normal((6, 3)))
+    w = np.asfortranarray(np.diag(rng.uniform(1.0, 2.0, 6)))
+    problem = ar.InverseProblem(a, rng.standard_normal(6), w)
+    path = tmp_path / "p.json"
+    ar.save_problem(path, problem, ar.default_prior(3, mu=rng.standard_normal(3)))
+    loaded = ar.load_problem(path)
+    assert np.array_equal(bits(loaded.problem.a_matrix), bits(a))
+    assert np.array_equal(bits(loaded.problem.y), bits(problem.y))
+    assert np.array_equal(bits(loaded.problem.w.matrix), bits(problem.w.matrix))

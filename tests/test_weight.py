@@ -108,7 +108,7 @@ def test_explicit_identity_weights_give_identical_results(n, t_share, seed):
             ar.select_case2(problem, prior, 0.3, bracket).to_json(),
             [(r.kappa, r.quad_term, r.logdet_term, r.objective, r.case) for r in rows],
             ar.draw_noise(problem.w, 0.3, np.random.default_rng(seed)).tolist(),
-            # TrueMu mode colors both the noise (by W) and the beta draws (by W_beta)
+            # TrueMu mode draws beta as well; the study runs in the whitened frame and colors nothing
             ar.mc_sigma2_study(
                 problem.design, truth, prior, 0.3, 2.0, replicates=100, seed=seed, mu_mode="true"
             ).to_json(),
