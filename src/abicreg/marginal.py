@@ -463,7 +463,10 @@ def _csv_float(value):
 
 
 def write_sweep_csv(path, rows):
-    """Write sweep rows as CSV with shortest round-trip floats, the digits of the JSON files.
+    """Write sweep rows as CSV with shortest round-trip floats, the values of the JSON files.
+
+    The text is Python's ``repr``, which can differ from the JSON's
+    (``1e-05`` where orjson writes ``1e-5``); the doubles are the same.
 
     Every row is formatted before the file is opened, so a non-finite
     value raises EvaluationError and leaves no file, as ``serialize.dump`` does.

@@ -4,7 +4,12 @@ Every JSON file the package writes goes through ``dump``: compact JSON
 with shortest round-trip floats, so each double parses back bit for bit
 and a rerun writes the same bytes. orjson would write NaN and ±inf as
 ``null``, so the writer first rejects a non-finite float anywhere in the
-document with EvaluationError.
+document with EvaluationError. orjson takes integers only in
+[-2**63, 2**64), and a seed may reach 2**128 - 1, so a document orjson
+cannot encode is written by the stdlib ``json`` module instead: the same
+compact layout, integers of any size, and floats that are the same
+shortest round-trip values, though not always the same text (``1e-05``
+where orjson writes ``1e-5``).
 
 Every JSON file the package reads goes through ``load``. It parses with
 orjson, which turns a large float array into Python floats several times
@@ -42,8 +47,9 @@ def _check_finite(obj):
 
 
 def _default(obj):
-    # orjson takes only C-contiguous arrays directly; a transposed or strided one comes here
-    if isinstance(obj, np.ndarray):
+    # orjson takes only C-contiguous arrays directly, so a transposed or strided one comes here;
+    # the stdlib sends every array and every numpy scalar that is not a float subclass
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
@@ -51,9 +57,13 @@ def _default(obj):
 def dumps(obj):
     """``obj`` as compact JSON bytes with shortest round-trip floats and a final newline."""
     _check_finite(obj)
-    return orjson.dumps(
-        obj, default=_default, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
-    )
+    try:
+        return orjson.dumps(
+            obj, default=_default, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+        )
+    except orjson.JSONEncodeError:
+        text = json.dumps(obj, default=_default, ensure_ascii=False, separators=(",", ":"))
+        return (text + "\n").encode("utf-8")
 
 
 def dump(obj, path):
@@ -69,6 +79,8 @@ def load(path):
     A document orjson refuses is parsed again by the stdlib, which accepts
     the non-standard literals above and raises ``json.JSONDecodeError`` on
     anything that is not JSON; bytes that are not UTF-8 raise DomainError.
+    orjson reads an integer beyond 64 bits as the nearest double; the only
+    such integer the package writes is a seed, which it never reads back.
     """
     with open(path, "rb") as handle:
         data = handle.read()

@@ -284,6 +284,24 @@ class TestSeedRange:
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stderr)["error"]["category"] == "config"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--kind", "phillips", "--n", "8", "--sigma2", "0.01"],
+            ["bias-study", "--kind", "phillips", "--n", "8", "--sigma2", "0.01", "--kappa", "1",
+             "--replicates", "100"],
+        ],
+        ids=["generate", "bias-study"],
+    )
+    def test_largest_seed_is_written_exactly(self, tmp_path, argv):
+        seed = 2**128 - 1
+        proc = run_cli(*argv, "--seed", str(seed), "--out", "o", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert read_json(tmp_path / "o" / "config.json")["seed"] == seed
+        assert read_json(tmp_path / "o" / "result.json")["config"]["seed"] == seed
+        if argv[0] == "generate":
+            assert read_json(tmp_path / "o" / "truth.json")["generator_spec"]["seed"] == seed
+
 
 class TestDeterminism:
     def test_select_kappa_byte_identical(self, generated):
@@ -377,14 +395,14 @@ FUZZ_CASES = [
     fuzz("truth-wrong-length", BIAS_FILES, 2, truth='{"exact_solution": [1.0, 2.0]}'),
     fuzz("truth-missing-key", BIAS_FILES, 2, truth="{}"),
     fuzz("truth-not-utf8", BIAS_FILES, 2, truth=b'{"exact_solution": [1.0]}\xff'),
-    # arrays of 7 PiB, 728 TiB and 71 PiB exceed any address space, so numpy refuses them at once
+    # each first array (7 PiB, 728 TiB, 7 PiB) exceeds any address space, so numpy refuses it at once
     fuzz("sweep-points-too-large", f"{SWEEP} --points 1000000000000000", 2),
     fuzz(
         "bias-replicates-too-large",
         f"{BIAS_GEN} --study sigma2 --sigma2 0.01 --kappa 1 --replicates 100000000000000",
         2,
     ),
-    fuzz("generate-n-too-large", "generate --kind phillips --n 100000000 --out {out}", 2),
+    fuzz("generate-n-too-large", "generate --kind phillips --n 1000000000000000 --out {out}", 2),
     fuzz("missing-problem", "select-kappa --problem {out}/nope.json --out {out}", 4),
 ]
 

@@ -1,3 +1,4 @@
+import json
 import sys
 
 import numpy as np
@@ -50,6 +51,17 @@ def test_layouts_and_numpy_scalars_round_trip(tmp_path):
     assert loaded["pair"] == [1.5, [2, None]]
     # one fixed layout: compact, shortest round-trip floats, a final newline
     assert dumps({"a": [0.1, -0.0, 1e300], "b": None}) == b'{"a":[0.1,-0.0,1e300],"b":null}\n'
+
+
+def test_integers_beyond_64_bits_are_written_exactly(tmp_path):
+    doc = {"seed": 2**128 - 1, "low": -(2**100), "x": [0.1, 1e-5], "a": np.arange(3.0)}
+    path = tmp_path / "doc.json"
+    dump(doc, path)
+    assert path.read_bytes() == dumps(doc)
+    # orjson reads an integer beyond 64 bits as the nearest double, so the stdlib checks the text
+    loaded = json.loads(path.read_bytes())
+    assert loaded == {"seed": 2**128 - 1, "low": -(2**100), "x": [0.1, 1e-5], "a": [0.0, 1.0, 2.0]}
+    assert load(path)["x"] == [0.1, 1e-5]
 
 
 @pytest.mark.parametrize(
