@@ -30,29 +30,27 @@ the noise, L_W^T eps = sqrt(sigma2) z_eps. A TrueMu prior draw,
 L_W^T A beta_dev = sqrt(sigma2/kappa) U diag(s) V^T z_beta, lies in
 range(U), so it adds sqrt(sigma2/kappa) s * (V^T z_beta) to c = U^T z
 and leaves the part orthogonal to U alone; ZeroMu adds L_W^T ybar to
-every replicate. Replicates are drawn in chunks of about 8 MB of rows.
-While one worker thread draws chunk k + 1, the calling thread reduces
-chunk k to its estimates, with the explicit difference z - U c of
-MarginalWorkspace.project_whitened; BLAS releases the GIL. Each chunk
-fills its own slice of the estimates, and the mean and standard error
-are taken once all are done, so thread timing cannot change a result.
-No n x R array is ever held.
+every replicate. The study is one serial loop: it draws a chunk of
+about 8 MB of rows into one set of buffers and reduces it to its
+estimates with the explicit difference z - U c of
+MarginalWorkspace.project_whitened. No n x R array is ever held.
 
-Per-replicate randomness comes from counter-based streams (Salmon et
-al., "Parallel random numbers: as easy as 1, 2, 3", SC11): replicate r
-is numpy's Philox (Philox4x64-10) keyed by the seed, with its counter
-starting at (0, r, 0, 0). Replicates are order-independent and safe to
-parallelize, and one generator serves a whole study by resetting its
-counter, so a chunk starting at any replicate draws what the whole
-block would. The key is 128 bits, so a seed must lie in [0, 2**128).
-The noise draw always consumes the stream first, which keeps the noise
-identical across modes that share a replicate index.
+Randomness comes from counter-based streams (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC11): numpy's Philox
+(Philox4x64-10) keyed by the seed, which must lie in [0, 2**128); one
+generator serves a whole study by resetting its counter. In the kappa
+study replicate r draws from counter (0, r, 0, 0) (replicate_stream).
+The sigma2 study draws blocks of 256 replicates, one standard_normal
+fill per block at numpy's bulk speed: replicate r is row r % 256 of
+block b = r // 256, whose noise comes from counter (0, b, 0, 0) and
+whose TrueMu prior normals from (0, b, 1, 0), so the noise is the same
+in both modes and for every t. A final partial block draws a prefix of
+the full block's rows, so chunking changes no result.
 """
 
 import enum
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -64,6 +62,7 @@ from .selection import DEFAULT_BRACKET, DEFAULT_REL_TOL, BoundaryFlag, select_co
 
 __all__ = [
     "RNG_DESCRIPTION",
+    "BLOCK_RNG_DESCRIPTION",
     "MuMode",
     "BiasReport",
     "QuantileSummary",
@@ -78,6 +77,10 @@ __all__ = [
 ]
 
 RNG_DESCRIPTION = "numpy Philox4x64-10, key=seed, counter=(0, replicate, 0, 0)"
+BLOCK_RNG_DESCRIPTION = (
+    "numpy Philox4x64-10, key=seed, replicate r = row r mod 256 of block r // 256;"
+    " noise counter (0, b, 0, 0), prior counter (0, b, 1, 0)"
+)
 
 MIN_REPLICATES = 100
 
@@ -131,7 +134,7 @@ class BiasReport:
     true_sigma2: float
     mu_mode: MuMode
     sampling: str
-    rng: str = RNG_DESCRIPTION
+    rng: str = BLOCK_RNG_DESCRIPTION
 
     def to_json(self):
         return {**asdict(self), "mu_mode": self.mu_mode.value}
@@ -157,7 +160,7 @@ def _sigma2_terms(ops, ground_truth, sigma2):
 
 
 def _replicate_streams(seed):
-    """Every replicate stream of ``seed`` from one Philox, for _standard_rows:
+    """Every stream of ``seed`` from one Philox, for _standard_rows and _block_rows:
     (generator, state with an empty output buffer and counter (0, 0, 0, 0))."""
     bit_generator = np.random.Philox(key=check_seed(seed))
     state = bit_generator.state
@@ -166,35 +169,45 @@ def _replicate_streams(seed):
     return np.random.Generator(bit_generator), state
 
 
-def _standard_rows(streams, start, blocks):
-    """Fill row i of each array in ``blocks`` with the next standard normals
-    of replicate start + i, block by block: noise first, then any extra draws.
+def _standard_rows(streams, start, out):
+    """Fill row i of ``out`` with the first standard normals of replicate start + i.
 
     ``streams`` comes from _replicate_streams(seed): setting the counter
     of its one Philox to (0, r, 0, 0) starts replicate_stream(seed, r).
     """
     rng, state = streams
     counter = state["state"]["counter"]
-    for i, rows in enumerate(zip(*blocks)):
+    for i, row in enumerate(out):
         counter[1] = start + i
         rng.bit_generator.state = state
-        for row in rows:
-            rng.standard_normal(out=row)
+        rng.standard_normal(out=row)
 
 
-def _noise_block(design, sigma2, seed, replicates, extra_draws=0):
-    """Noise columns for R replicates, and optionally further standard normals.
-
-    Returns (eps (n, R), extra standard normals (extra_draws, R) or None),
-    the rows _standard_rows draws from replicate 0 with the noise colored.
-    """
-    z = np.empty((replicates, design.n + extra_draws))
-    _standard_rows(_replicate_streams(seed), 0, [z])
-    eps = _color(design.w, sigma2, z[:, : design.n].T)
-    return eps, (z[:, design.n :].T if extra_draws else None)
+def _noise_block(design, sigma2, seed, replicates):
+    """Noise columns eps (n, R) of R replicates: the rows _standard_rows
+    draws from replicate 0, colored."""
+    z = np.empty((replicates, design.n))
+    _standard_rows(_replicate_streams(seed), 0, z)
+    return _color(design.w, sigma2, z.T)
 
 
-# Replicates are drawn and reduced in chunks of about this many bytes of normals
+_BLOCK = 256  # replicates per block of the sigma2 study
+
+
+def _block_rows(streams, start, word, out):
+    """Fill ``out`` with replicates start, start + 1, ... of the sigma2 study's
+    stream ``word`` (0 noise, 1 prior draws): block b is one fill from
+    counter (0, b, word, 0), and ``start`` is a multiple of _BLOCK."""
+    rng, state = streams
+    counter = state["state"]["counter"]
+    counter[2] = word
+    for i in range(0, len(out), _BLOCK):
+        counter[1] = (start + i) // _BLOCK
+        rng.bit_generator.state = state
+        rng.standard_normal(out=out[i : i + _BLOCK])
+
+
+# Replicates are drawn and reduced in chunks of whole blocks, about this many bytes of normals
 _CHUNK_BYTES = 8 * 2**20
 
 
@@ -216,9 +229,8 @@ def mc_sigma2_study(
     truth, analyzes with mu = 0, and compares against the sum of
     expected_sigma2_terms.
 
-    One worker thread draws the next chunk of replicates while this
-    thread reduces the current one to its estimates; see the module
-    docstring for the whitened frame the reduction works in.
+    One loop draws chunks of whole blocks of replicates into one set of
+    buffers and reduces each in the whitened frame; see the module docstring.
     """
     mu_mode = MuMode(mu_mode)
     if replicates < MIN_REPLICATES:
@@ -247,43 +259,23 @@ def mc_sigma2_study(
         analytic = signal + noise
         sampling = "fixed-truth"
 
+    chunk = _BLOCK * max(1, _CHUNK_BYTES // (8 * _BLOCK * (n + extra_draws)))
+    noise_rows = np.empty((min(chunk, replicates), n))
+    extra_rows = np.empty((len(noise_rows), extra_draws))
     estimates = np.empty(replicates)
-
-    def reduce(start, z, extra=None):
-        """Estimates of the replicates whose standard normals are the rows of
-        ``z``, the noise, and ``extra``; z is overwritten."""
+    for start in range(0, replicates, chunk):
+        z = noise_rows[: replicates - start]
+        _block_rows(streams, start, 0, z)
         z *= noise_scale
         if mu_mode is MuMode.ZERO_MU:
             z += offset
         perp, coef = workspace.project_whitened(z.T)
         if mu_mode is MuMode.TRUE_MU:
+            extra = extra_rows[: len(z)]
+            _block_rows(streams, start, 1, extra)
             coef += beta_scale * (workspace.vt @ extra.T)
         quad = perp + np.einsum("i,ij,ij->j", ops.damping, coef, coef)
         estimates[start : start + len(z)] = quad / n
-
-    chunk = max(1, _CHUNK_BYTES // (8 * (n + extra_draws)))
-    starts = range(0, replicates, chunk)
-    # Two sets of chunk buffers, made once. The worker draws chunk k + 1 into
-    # one set while this thread reduces chunk k in the other, so every large
-    # temporary is made and freed on this thread, in the same order each run;
-    # what a study holds does not depend on thread timing, and since each
-    # chunk fills its own slice of estimates, neither does its result.
-    widths = (n, extra_draws) if extra_draws else (n,)
-    buffers = [[np.empty((min(chunk, replicates), w)) for w in widths] for _ in range(2)]
-
-    def draw(k):
-        blocks = [block[: replicates - starts[k]] for block in buffers[k % 2]]
-        _standard_rows(streams, starts[k], blocks)
-        return blocks
-
-    with ThreadPoolExecutor(1) as worker:
-        pending = worker.submit(draw, 0)
-        for k, start in enumerate(starts):
-            blocks = pending.result()
-            if k + 1 < len(starts):
-                # into the set chunk k - 1 used, reduced on the last pass
-                pending = worker.submit(draw, k + 1)
-            reduce(start, *blocks)
 
     mc_mean = float(np.mean(estimates))
     mc_std_error = float(np.std(estimates, ddof=1) / math.sqrt(replicates))
@@ -378,7 +370,7 @@ def mc_kappa_study(
         raise DomainError(f"case must be 1 or 2, got {case}")
     if not sigma2 > 0:
         raise DomainError(f"sigma2 must be positive, got {sigma2}")
-    eps, _ = _noise_block(design, sigma2, seed, replicates)
+    eps = _noise_block(design, sigma2, seed, replicates)
     observations = ground_truth.y_bar[:, None] + eps
     workspace = MarginalWorkspace(design.with_observations(ground_truth.y_bar), prior.w_beta)
     known = None if case == 1 else sigma2

@@ -281,7 +281,9 @@ class MarginalObjective:
         rows = rows / self._scale[:, None]
         self.offset = (2.0 * workspace.n * math.log(2.0)) * exponent
         self._perp, coef = workspace.project_rows(rows)
-        self._coef2 = coef * coef
+        # an overflow gives inf, which the selection and the writers reject as non-finite
+        with np.errstate(over="ignore"):
+            self._coef2 = coef * coef
 
     def _terms(self, kappa, columns):
         """(quad of the scaled residuals, ln det E, objective without offset)."""
@@ -315,7 +317,8 @@ class MarginalObjective:
         if columns is None:
             columns, kappa = slice(None), kappa[:, None]
         scale, total = self._scale[columns], total + self.offset[columns]
-        quad = quad * scale * scale
+        with np.errstate(over="ignore"):
+            quad = quad * scale * scale
         return ObjectiveValue(total, quad, logdet, kappa, self.case_tag, self.sigma2)
 
 

@@ -1,5 +1,4 @@
 import math
-import sys
 import threading
 import tracemalloc
 
@@ -37,26 +36,21 @@ class TestReplicateStream:
 
     def test_largest_seed_accepted(self):
         design, _, _, _ = tiny_fixture()
-        eps, _ = ar.bias._noise_block(design, 1.0, 2**128 - 1, 100)
+        eps = ar.bias._noise_block(design, 1.0, 2**128 - 1, 100)
         assert np.array_equal(eps[:, 99], ar.replicate_stream(2**128 - 1, 99).standard_normal(2))
 
 
 class TestNoiseBlock:
-    """Column r of a study's noise block is replicate_stream(seed, r), noise first."""
+    """Column r of a study's noise block is replicate_stream(seed, r)."""
 
     @pytest.mark.parametrize("identity_w", [True, False])
     def test_columns_are_replicate_streams(self, identity_w):
         rng = np.random.default_rng(46)
         design = random_design(rng, 9, 3, identity_w=identity_w)
-        sigma2, seed, replicates, extra_draws = 0.3, 11, 150, 4
-        eps, extra = ar.bias._noise_block(design, sigma2, seed, replicates, extra_draws)
+        sigma2, seed, replicates = 0.3, 11, 150
+        eps = ar.bias._noise_block(design, sigma2, seed, replicates)
         assert eps.shape == (design.n, replicates)
-        assert extra.shape == (extra_draws, replicates)
-        draws = []
-        for r in range(replicates):
-            stream = ar.replicate_stream(seed, r)
-            draws.append(stream.standard_normal(design.n))
-            assert np.array_equal(extra[:, r], stream.standard_normal(extra_draws))
+        draws = [ar.replicate_stream(seed, r).standard_normal(design.n) for r in range(replicates)]
         # the block colors all columns in one triangular solve: bit-equal to
         # coloring the stacked streams, and equal to each column's own solve
         # up to the rounding of a block against a single right-hand side
@@ -174,18 +168,24 @@ class TestMcSigma2Study:
         assert "Philox" in doc["rng"]
 
 
+def _philox_block(seed, b, word, width):
+    """Block b of the sigma2 study's stream ``word``, drawn from its own Philox."""
+    philox = np.random.Philox(key=seed, counter=[0, b, word, 0])
+    return np.random.Generator(philox).standard_normal((256, width))
+
+
 def _dense_sigma2_reference(design, truth, w, w_beta, sigma2, kappa, replicates, seed, mu_mode):
-    """(mc_mean, mc_std_error) by redrawing every replicate through its own
-    stream, coloring with explicit Cholesky factors and solving with E."""
+    """(mc_mean, mc_std_error) by redrawing each replicate's row of its block,
+    coloring with explicit Cholesky factors and solving with E."""
     a, n, t = design.a_matrix, design.n, design.t
     l_w, l_b = np.linalg.cholesky(w), np.linalg.cholesky(w_beta)
     e = np.linalg.inv(w) + a @ np.linalg.inv(w_beta) @ a.T / kappa
     estimates = []
     for r in range(replicates):
-        stream = ar.replicate_stream(seed, r)
-        eps = math.sqrt(sigma2) * la.solve_triangular(l_w.T, stream.standard_normal(n))
+        b, row = divmod(r, 256)
+        eps = math.sqrt(sigma2) * la.solve_triangular(l_w.T, _philox_block(seed, b, 0, n)[row])
         if mu_mode == "true":
-            z_beta = stream.standard_normal(t)
+            z_beta = _philox_block(seed, b, 1, t)[row]
             residual = a @ (math.sqrt(sigma2 / kappa) * la.solve_triangular(l_b.T, z_beta)) + eps
         else:
             residual = truth.y_bar + eps
@@ -204,25 +204,37 @@ class TestSigma2StudyChunks:
         design = ar.ProblemDesign(rng.standard_normal((n, t)), w)
         truth = ar.GroundTruth.from_design(design, rng.standard_normal(t))
         prior = ar.default_prior(t, mu=truth.beta_bar, w_beta=w_beta)
-        sigma2, kappa, replicates, seed = 0.3, 2.0, 150, 9
+        sigma2, kappa, replicates, seed = 0.3, 2.0, 600, 9
         args = (design, truth, prior, sigma2, kappa, replicates, seed, mu_mode)
         default = ar.mc_sigma2_study(*args)
-        # 40 rows of noise per chunk: zero mu takes 40, 40, 40, 30 replicates,
-        # true mu (t more normals per row) 29 at a time and then 5
-        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 8 * 40 * n)
-        # switch threads as often as the interpreter allows while chunks overlap
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            report = ar.mc_sigma2_study(*args)
-        finally:
-            sys.setswitchinterval(interval)
+        # one block per chunk in both modes: 256, 256 and a partial 88 replicates
+        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 8 * 256 * n)
+        report = ar.mc_sigma2_study(*args)
         mean, std_error = _dense_sigma2_reference(
             design, truth, w, w_beta, sigma2, kappa, replicates, seed, mu_mode
         )
         assert report.mc_mean == pytest.approx(mean, rel=1e-10)
         assert report.mc_std_error == pytest.approx(std_error, rel=1e-10)
         assert report == default
+
+    @pytest.mark.parametrize("n", [32, 400, 2000])
+    def test_rows_are_block_rows_in_order(self, n):
+        # the mean and standard error cannot see the order of replicates,
+        # so the rows are checked here: a partial block is a prefix of the full one
+        seed, rows = 13, 600
+        streams = ar.bias._replicate_streams(seed)
+        out, tail = np.empty((rows, n)), np.empty((rows - 512, n))
+        for word in (0, 1):
+            ar.bias._block_rows(streams, 0, word, out)
+            for b in range(3):
+                full, drawn = _philox_block(seed, b, word, n), out[256 * b : 256 * (b + 1)]
+                assert np.array_equal(drawn, full[: len(drawn)])
+                if word == 0:
+                    stream = ar.replicate_stream(seed, b)
+                    assert np.array_equal(full, stream.standard_normal((256, n)))
+            # a chunk that starts at block 2 draws what the whole run drew there
+            ar.bias._block_rows(streams, 512, word, tail)
+            assert np.array_equal(tail, out[512:])
 
     @pytest.mark.parametrize("mu_mode", ["zero", "true"])
     def test_peak_memory_below_one_block(self, mu_mode):
@@ -240,65 +252,49 @@ class TestSigma2StudyChunks:
         # held four or five of them
         assert peak < n * replicates * 8, f"peak traced memory {peak / 2**20:.1f} MiB"
 
-    def _spy_study(self, monkeypatch, fail_draw=False, fail_reduce=False):
-        """Run a several-chunk study; returns the threads alive during its
-        reductions, beyond those alive before it."""
+    def test_no_thread_starts_during_a_study(self, monkeypatch):
         design, _, prior, truth = tiny_fixture()
-        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 8 * 20 * design.n)
+        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 8 * 256 * design.n)
         before = set(threading.enumerate())
-        extra = []
-        draw_rows, project = ar.bias._standard_rows, ar.MarginalWorkspace.project_whitened
-
-        def spy_draw(seed, start, out):
-            if fail_draw and start > 0:
-                raise MemoryError("draw failed")
-            draw_rows(seed, start, out)
-
-        def spy_project(workspace, z):
-            if z.ndim == 2:  # a chunk; the analytic terms project one vector
-                extra.append(set(threading.enumerate()) - before)
-            if fail_reduce:
-                raise FloatingPointError("reduction failed")
-            return project(workspace, z)
-
-        monkeypatch.setattr(ar.bias, "_standard_rows", spy_draw)
-        monkeypatch.setattr(ar.MarginalWorkspace, "project_whitened", spy_project)
-        try:
-            ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=150, seed=2)
-        finally:
-            assert set(threading.enumerate()) == before
-        return extra
-
-    def test_one_worker_thread_joined_on_return(self, monkeypatch):
-        extra = self._spy_study(monkeypatch)
-        assert len(extra) == 8  # 150 replicates in chunks of 20
-        assert all(len(threads) == 1 for threads in extra)
-        assert len(set.union(*extra)) == 1
-
-    def test_reductions_run_on_the_calling_thread(self, monkeypatch):
-        # the worker only draws into buffers made before it starts, so every
-        # large temporary is made and freed on one thread in a fixed order and
-        # the study's memory does not depend on thread timing
-        design, _, prior, truth = tiny_fixture()
-        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 8 * 20 * design.n)
-        threads = []
+        during = []
         project = ar.MarginalWorkspace.project_whitened
 
         def spy_project(workspace, z):
-            threads.append(threading.current_thread())
+            if z.ndim == 2:  # a chunk; the analytic terms project one vector
+                during.append(set(threading.enumerate()))
             return project(workspace, z)
 
         monkeypatch.setattr(ar.MarginalWorkspace, "project_whitened", spy_project)
-        ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=150, seed=2)
-        assert len(threads) > 1 and set(threads) == {threading.current_thread()}
+        ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=600, seed=2)
+        assert len(during) == 3  # 600 replicates in chunks of one block
+        assert all(threads == before for threads in during)
 
-    def test_worker_joined_when_a_draw_raises(self, monkeypatch):
-        with pytest.raises(MemoryError, match="draw failed"):
-            self._spy_study(monkeypatch, fail_draw=True)
+    @pytest.mark.parametrize("stage", ["draw", "reduction"])
+    def test_errors_propagate_unchanged(self, monkeypatch, stage):
+        design, _, prior, truth = tiny_fixture()
+        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 8 * 256 * design.n)
+        if stage == "draw":
+            error, fill = MemoryError("draw failed"), ar.bias._block_rows
 
-    def test_worker_joined_when_a_reduction_raises(self, monkeypatch):
-        with pytest.raises(FloatingPointError, match="reduction failed"):
-            self._spy_study(monkeypatch, fail_reduce=True)
+            def spy_fill(streams, start, word, out):
+                if start > 0:  # the second chunk's fill
+                    raise error
+                fill(streams, start, word, out)
+
+            monkeypatch.setattr(ar.bias, "_block_rows", spy_fill)
+        else:
+            error = FloatingPointError("reduction failed")
+            project = ar.MarginalWorkspace.project_whitened
+
+            def spy_project(workspace, z):
+                if z.ndim == 2:
+                    raise error
+                return project(workspace, z)
+
+            monkeypatch.setattr(ar.MarginalWorkspace, "project_whitened", spy_project)
+        with pytest.raises(type(error)) as raised:
+            ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=600, seed=2)
+        assert raised.value is error
 
 
 class TestMcKappaStudy:
@@ -378,7 +374,7 @@ class TestLockstepMatchesSelection:
         truth = ar.GroundTruth.from_design(design, exact)
         prior = ar.default_prior(design.t, mu=exact)
         replicates, seed = 100, 12
-        eps, _ = ar.bias._noise_block(design, sigma2, seed, replicates)  # the study's own draws
+        eps = ar.bias._noise_block(design, sigma2, seed, replicates)  # the study's own draws
         observations = truth.y_bar[:, None] + eps
         workspace = ar.MarginalWorkspace(design.with_observations(truth.y_bar), prior.w_beta)
         known = None if case == 1 else sigma2

@@ -430,3 +430,28 @@ class TestInProcessFuzz:
         if code:
             category = {2: "config", 3: "numeric", 4: "io"}[code]
             assert json.loads(stderr)["error"]["category"] == category
+
+
+@pytest.fixture(scope="module")
+def overflowing(tmp_path_factory):
+    """Phillips 32 with y scaled by 1e160: its quadratic forms overflow to inf."""
+    root = tmp_path_factory.mktemp("overflow")
+    argv = ["generate", "--kind", "phillips", "--n", "32", "--sigma2", "1e-4", "--seed", "3"]
+    assert cli.main([*argv, "--out", str(root / "g")]) == 0
+    doc = read_json(root / "g" / "problem.json")
+    doc["y"] = [value * 1e160 for value in doc["y"]]
+    (root / "scaled.json").write_text(json.dumps(doc))
+    return root / "scaled.json"
+
+
+class TestOverflow:
+    """An overflow in the objective exits 3 with stderr one JSON object, no warning text."""
+
+    @pytest.mark.parametrize(
+        "argv", ["sweep", "sweep --case 2 --sigma2 1e-4", "select-kappa --case 1"]
+    )
+    def test_stderr_is_one_json_object(self, overflowing, tmp_path, capsys, argv):
+        exit_code = cli.main([*argv.split(), "--problem", str(overflowing), "--out", str(tmp_path)])
+        stderr = capsys.readouterr().err
+        assert exit_code == 3, stderr
+        assert json.loads(stderr)["error"]["category"] == "numeric"
