@@ -37,15 +37,18 @@ MarginalWorkspace.project_whitened. No n x R array is ever held.
 
 Randomness comes from counter-based streams (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC11): numpy's Philox
-(Philox4x64-10) keyed by the seed, which must lie in [0, 2**128); one
-generator serves a whole study by resetting its counter. In the kappa
-study replicate r draws from counter (0, r, 0, 0) (replicate_stream).
-The sigma2 study draws blocks of 256 replicates, one standard_normal
-fill per block at numpy's bulk speed: replicate r is row r % 256 of
-block b = r // 256, whose noise comes from counter (0, b, 0, 0) and
-whose TrueMu prior normals from (0, b, 1, 0), so the noise is the same
-in both modes and for every t. A final partial block draws a prefix of
-the full block's rows, so chunking changes no result.
+(Philox4x64-10) keyed by the seed, which must lie in [0, 2**128). One
+filler, _normal_rows, draws every normal in blocks: block b is one
+standard_normal fill of per_block rows from counter (0, b, word, 0), and
+replicate r is row r % per_block of block r // per_block. It has two
+layouts. The kappa study and problems.synthesize_observations take one
+row per block, so replicate r draws from counter (0, r, 0, 0), the
+stream of replicate_stream(seed, r), and a generated problem's noise is
+replicate 0's. The sigma2 study takes 256 rows per block, one fill at
+numpy's bulk speed: word 0 holds the noise and word 1 the TrueMu prior
+normals, so the noise is the same in both modes and for every t. A final
+partial block draws a prefix of the full block's rows, so chunking
+changes no result.
 """
 
 import enum
@@ -57,7 +60,6 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .marginal import MarginalObjective, MarginalWorkspace
-from .model import as_weight
 from .selection import DEFAULT_BRACKET, DEFAULT_REL_TOL, BoundaryFlag, select_columns
 
 __all__ = [
@@ -70,7 +72,6 @@ __all__ = [
     "KappaStudyReport",
     "check_seed",
     "replicate_stream",
-    "draw_noise",
     "expected_sigma2_terms",
     "mc_sigma2_study",
     "mc_kappa_study",
@@ -113,14 +114,6 @@ def _color(weight, variance, z):
     return math.sqrt(variance) * weight.solve_lower(z, trans=True)
 
 
-def draw_noise(w, sigma2, rng):
-    """One draw of eps ~ N(0, W^-1 sigma2); ``w`` is a Weight or a matrix."""
-    if sigma2 < 0:
-        raise DomainError(f"sigma2 must be nonnegative, got {sigma2}")
-    w = as_weight(w, "w")
-    return _color(w, sigma2, rng.standard_normal(w.size))
-
-
 @dataclass(frozen=True)
 class BiasReport:
     """Monte Carlo estimate of E[sigma2_hat] next to its analytic value."""
@@ -159,52 +152,37 @@ def _sigma2_terms(ops, ground_truth, sigma2):
     return signal, noise
 
 
-def _replicate_streams(seed):
-    """Every stream of ``seed`` from one Philox, for _standard_rows and _block_rows:
-    (generator, state with an empty output buffer and counter (0, 0, 0, 0))."""
-    bit_generator = np.random.Philox(key=check_seed(seed))
-    state = bit_generator.state
-    # buffer_pos 4 marks the four-word output buffer empty; no half-used uint32 is kept
-    state.update(buffer_pos=4, has_uint32=0)
-    return np.random.Generator(bit_generator), state
-
-
-def _standard_rows(streams, start, out):
-    """Fill row i of ``out`` with the first standard normals of replicate start + i.
-
-    ``streams`` comes from _replicate_streams(seed): setting the counter
-    of its one Philox to (0, r, 0, 0) starts replicate_stream(seed, r).
-    """
-    rng, state = streams
-    counter = state["state"]["counter"]
-    for i, row in enumerate(out):
-        counter[1] = start + i
-        rng.bit_generator.state = state
-        rng.standard_normal(out=row)
-
-
-def _noise_block(design, sigma2, seed, replicates):
-    """Noise columns eps (n, R) of R replicates: the rows _standard_rows
-    draws from replicate 0, colored."""
-    z = np.empty((replicates, design.n))
-    _standard_rows(_replicate_streams(seed), 0, z)
-    return _color(design.w, sigma2, z.T)
-
-
 _BLOCK = 256  # replicates per block of the sigma2 study
 
 
-def _block_rows(streams, start, word, out):
-    """Fill ``out`` with replicates start, start + 1, ... of the sigma2 study's
-    stream ``word`` (0 noise, 1 prior draws): block b is one fill from
-    counter (0, b, word, 0), and ``start`` is a multiple of _BLOCK."""
-    rng, state = streams
+def _normal_rows(seed, start, out, word=0, per_block=_BLOCK):
+    """Fill row i of ``out`` with the standard normals of replicate start + i.
+
+    Block b is one standard_normal fill of ``per_block`` rows from Philox
+    keyed by ``seed`` with counter (0, b, word, 0), and replicate r is row
+    r % per_block of block r // per_block; ``start`` is a multiple of
+    per_block. With per_block = 1, row r is replicate_stream(seed, r)'s
+    first draws. A final partial block is a prefix of the full block's rows.
+    """
+    bit_generator = np.random.Philox(key=check_seed(seed))
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    # buffer_pos 4 marks the four-word output buffer empty; no half-used uint32 is kept
+    state.update(buffer_pos=4, has_uint32=0)
     counter = state["state"]["counter"]
     counter[2] = word
-    for i in range(0, len(out), _BLOCK):
-        counter[1] = (start + i) // _BLOCK
-        rng.bit_generator.state = state
-        rng.standard_normal(out=out[i : i + _BLOCK])
+    for i in range(0, len(out), per_block):
+        counter[1] = (start + i) // per_block
+        bit_generator.state = state
+        rng.standard_normal(out=out[i : i + per_block])
+
+
+def _noise_block(design, sigma2, seed, replicates):
+    """Noise columns eps (n, R) of R replicates: column r is
+    replicate_stream(seed, r)'s first n normals, colored."""
+    z = np.empty((replicates, design.n))
+    _normal_rows(seed, 0, z, per_block=1)
+    return _color(design.w, sigma2, z.T)
 
 
 # Replicates are drawn and reduced in chunks of whole blocks, about this many bytes of normals
@@ -239,7 +217,6 @@ def mc_sigma2_study(
         raise DomainError(f"kappa must be positive, got {kappa}")
     if not sigma2 > 0:
         raise DomainError(f"sigma2 must be positive, got {sigma2}")
-    streams = _replicate_streams(seed)
     n, t = design.n, design.t
     problem = design.with_observations(np.zeros(n))
     workspace = MarginalWorkspace(problem, prior.w_beta)
@@ -265,14 +242,14 @@ def mc_sigma2_study(
     estimates = np.empty(replicates)
     for start in range(0, replicates, chunk):
         z = noise_rows[: replicates - start]
-        _block_rows(streams, start, 0, z)
+        _normal_rows(seed, start, z)
         z *= noise_scale
         if mu_mode is MuMode.ZERO_MU:
             z += offset
         perp, coef = workspace.project_whitened(z.T)
         if mu_mode is MuMode.TRUE_MU:
             extra = extra_rows[: len(z)]
-            _block_rows(streams, start, 1, extra)
+            _normal_rows(seed, start, extra, word=1)
             coef += beta_scale * (workspace.vt @ extra.T)
         quad = perp + np.einsum("i,ij,ij->j", ops.damping, coef, coef)
         estimates[start : start + len(z)] = quad / n

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FactorizationError
-from .marginal import MarginalWorkspace, log_marginal_density
+from .marginal import MarginalWorkspace
 
 __all__ = [
     "EstimatorMethod",
@@ -25,7 +25,6 @@ __all__ = [
     "regularized_estimate",
     "bayes_estimate",
     "log_joint_density",
-    "log_posterior_density",
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -113,8 +112,9 @@ def bayes_estimate(problem, prior, sigma2, sigma_beta2):
 def _gaussian_logpdf(residual, weight, variance):
     """log N(residual; 0, weight^-1 variance) including all constants."""
     k = residual.shape[0]
-    # weight is the inverse covariance factor, so the quadratic form needs no solve
-    quad = float(residual @ weight.apply(residual))
+    # r^T W r = |L^T r|^2 for weight W = L L^T, with no solve
+    half = weight.mul_lower(residual, trans=True)
+    quad = float(half @ half)
     return -0.5 * k * LOG_2PI - 0.5 * k * math.log(variance) + 0.5 * weight.logdet - 0.5 * quad / variance
 
 
@@ -131,9 +131,3 @@ def log_joint_density(problem, prior, beta, sigma2, sigma_beta2):
     prior_term = _gaussian_logpdf(beta - prior.mu, prior.w_beta, sigma_beta2)
     return data_term + prior_term
 
-
-def log_posterior_density(problem, prior, beta, sigma2, sigma_beta2):
-    """log posterior of beta: joint minus marginal, maximized at the Bayes estimate."""
-    return log_joint_density(problem, prior, beta, sigma2, sigma_beta2) - log_marginal_density(
-        problem, prior, sigma2, sigma_beta2
-    )

@@ -144,11 +144,10 @@ class MarginalOperators:
         return ws.w.mul_lower(z - ws.u @ filtered)
 
     def quad_form(self, residual):
-        """r^T E^-1 r; columns are handled independently for a matrix input."""
-        perp, coef = self._ws.project(residual)
-        if coef.ndim == 1:
-            return perp + float(self.damping @ (coef * coef))
-        return perp + np.einsum("i,ij,ij->j", self.damping, coef, coef)
+        """r^T E^-1 r for one residual vector r."""
+        ws = self._ws
+        perp, coef = ws.project_whitened(ws.w.mul_lower(residual, trans=True))
+        return perp + float(self.damping @ (coef * coef))
 
     def expected_noise_quad(self):
         """tr(E^-1 W^-1): E[r^T E^-1 r]/sigma2 under r ~ N(0, W^-1 sigma2)."""
@@ -206,14 +205,6 @@ class MarginalWorkspace:
 
     def residual(self, prior):
         return self.problem.y - self.problem.a_matrix @ prior.mu
-
-    def project(self, residual):
-        """(|z - U c|^2, c) for z = L_W^T r and c = U^T z.
-
-        For a matrix of residual columns both parts hold one entry per
-        column.
-        """
-        return self.project_whitened(self.w.mul_lower(residual, trans=True))
 
     def project_whitened(self, z):
         """(|z - U c|^2, c) for an already whitened z = L_W^T r; z, a vector

@@ -130,13 +130,6 @@ class Weight:
         """ln det W."""
         return 0.0 if self.matrix is None else spd_logdet(self._factor())
 
-    def apply(self, x):
-        """W x, as a new array."""
-        if self.matrix is None:
-            # a copy: numpy computes x.T @ x on one buffer by syrk, which rounds differently
-            return np.array(x, dtype=float)
-        return self.matrix @ np.asarray(x, dtype=float)
-
     def mul_lower(self, x, trans=False):
         """L x, or L^T x with ``trans``; always a new array the caller may overwrite."""
         if self.matrix is None:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bias import check_seed, draw_noise, replicate_stream
+from .bias import _noise_block, check_seed
 from .errors import DomainError
 from .model import GroundTruth, ProblemDesign
 
@@ -123,10 +123,13 @@ def generate_problem(spec):
 def synthesize_observations(design, exact_solution, sigma2, seed=0):
     """Noisy measurements for a known truth.
 
-    Uses replicate 0 of the study sampler, so a generated problem equals
-    the first replicate of a Monte Carlo run with the same seed.
-    Returns (y, GroundTruth); sigma2 = 0 gives exact data.
+    Uses replicate 0 of the kappa study's sampler, so a generated problem
+    equals the first replicate of a Monte Carlo run with the same seed.
+    Returns (y, GroundTruth); sigma2 = 0 gives exact data, and a sigma2
+    outside [0, inf) raises DomainError.
     """
-    eps = draw_noise(design.w, sigma2, replicate_stream(seed, 0))
+    if not 0 <= sigma2 < math.inf:
+        raise DomainError(f"sigma2 must be finite and nonnegative, got {sigma2}")
+    eps = _noise_block(design, sigma2, seed, 1)[:, 0]
     truth = GroundTruth.from_design(design, exact_solution)
     return truth.y_bar + eps, truth

@@ -70,22 +70,29 @@ class TestNoiseBlock:
 
 class TestDrawNoise:
     def test_identity_weight_is_plain_gaussian(self):
-        rng1 = ar.replicate_stream(0, 0)
-        rng2 = ar.replicate_stream(0, 0)
-        eps = ar.draw_noise(np.eye(4), 4.0, rng1)
-        z = rng2.standard_normal(4)
+        design = ar.ProblemDesign(np.ones((4, 1)), np.eye(4))
+        eps = ar.bias._noise_block(design, 4.0, 0, 1)[:, 0]
+        z = ar.replicate_stream(0, 0).standard_normal(4)
         assert_allclose(eps, 2.0 * z, rtol=1e-15)
 
     def test_covariance_matches_inverse_weight(self):
         rng = np.random.default_rng(1)
         w = np.diag([1.0, 4.0, 0.25])
-        draws = np.array([ar.draw_noise(w, 2.0, ar.replicate_stream(1, r)) for r in range(4000)])
+        draws = ar.bias._noise_block(ar.ProblemDesign(np.ones((3, 1)), w), 2.0, 1, 4000).T
         var = draws.var(axis=0)
         assert_allclose(var, 2.0 / np.diag(w), rtol=0.15)
 
     def test_negative_variance_rejected(self):
+        design = ar.ProblemDesign(np.ones((2, 1)), np.eye(2))
         with pytest.raises(ar.DomainError):
-            ar.draw_noise(np.eye(2), -1.0, np.random.default_rng(0))
+            ar.synthesize_observations(design, [1.0], -1.0)
+
+    @pytest.mark.parametrize("sigma2", [math.nan, math.inf])
+    def test_non_finite_variance_rejected(self, sigma2):
+        # nan used to give an all-nan y and inf a y of +-inf
+        design = ar.ProblemDesign(np.ones((2, 1)), np.eye(2))
+        with pytest.raises(ar.DomainError):
+            ar.synthesize_observations(design, [1.0], sigma2)
 
 
 class TestExpectedSigma2:
@@ -222,10 +229,9 @@ class TestSigma2StudyChunks:
         # the mean and standard error cannot see the order of replicates,
         # so the rows are checked here: a partial block is a prefix of the full one
         seed, rows = 13, 600
-        streams = ar.bias._replicate_streams(seed)
         out, tail = np.empty((rows, n)), np.empty((rows - 512, n))
         for word in (0, 1):
-            ar.bias._block_rows(streams, 0, word, out)
+            ar.bias._normal_rows(seed, 0, out, word)
             for b in range(3):
                 full, drawn = _philox_block(seed, b, word, n), out[256 * b : 256 * (b + 1)]
                 assert np.array_equal(drawn, full[: len(drawn)])
@@ -233,7 +239,7 @@ class TestSigma2StudyChunks:
                     stream = ar.replicate_stream(seed, b)
                     assert np.array_equal(full, stream.standard_normal((256, n)))
             # a chunk that starts at block 2 draws what the whole run drew there
-            ar.bias._block_rows(streams, 512, word, tail)
+            ar.bias._normal_rows(seed, 512, tail, word)
             assert np.array_equal(tail, out[512:])
 
     @pytest.mark.parametrize("mu_mode", ["zero", "true"])
@@ -274,14 +280,14 @@ class TestSigma2StudyChunks:
         design, _, prior, truth = tiny_fixture()
         monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 8 * 256 * design.n)
         if stage == "draw":
-            error, fill = MemoryError("draw failed"), ar.bias._block_rows
+            error, fill = MemoryError("draw failed"), ar.bias._normal_rows
 
-            def spy_fill(streams, start, word, out):
+            def spy_fill(seed, start, out, *args, **kwargs):
                 if start > 0:  # the second chunk's fill
                     raise error
-                fill(streams, start, word, out)
+                fill(seed, start, out, *args, **kwargs)
 
-            monkeypatch.setattr(ar.bias, "_block_rows", spy_fill)
+            monkeypatch.setattr(ar.bias, "_normal_rows", spy_fill)
         else:
             error = FloatingPointError("reduction failed")
             project = ar.MarginalWorkspace.project_whitened

@@ -133,30 +133,19 @@ class TestDensities:
     def test_posterior_mode_hand_value(self):
         problem = ar.InverseProblem([[2.0]], [7.0])
         prior = ar.default_prior(1, mu=[3.0])
-        value = ar.log_posterior_density(problem, prior, [3.4], 1.0, 1.0)
-        assert value == pytest.approx(0.5 * (math.log(5.0) - math.log(2.0 * math.pi)))
-
-    def test_joint_minus_posterior_is_constant_in_beta(self):
-        rng = np.random.default_rng(7)
-        problem, prior = random_fixture(rng, 7, 3)
-        sigma2, sigma_beta2 = 0.7, 1.9
-        betas = rng.standard_normal((4, 3))
-        values = [
-            ar.log_joint_density(problem, prior, b, sigma2, sigma_beta2)
-            - ar.log_posterior_density(problem, prior, b, sigma2, sigma_beta2)
-            for b in betas
-        ]
-        assert np.ptp(values) < 1e-9
-        assert values[0] == pytest.approx(
-            ar.log_marginal_density(problem, prior, sigma2, sigma_beta2), rel=1e-10
+        # the joint minus the marginal is the posterior, here at its mode
+        value = ar.log_joint_density(problem, prior, [3.4], 1.0, 1.0) - ar.log_marginal_density(
+            problem, prior, 1.0, 1.0
         )
+        assert value == pytest.approx(0.5 * (math.log(5.0) - math.log(2.0 * math.pi)))
 
     def test_posterior_maximized_at_bayes_estimate(self):
         rng = np.random.default_rng(8)
         problem, prior = random_fixture(rng, 7, 2)
         sigma2, sigma_beta2 = 0.5, 1.5
         mode = ar.bayes_estimate(problem, prior, sigma2, sigma_beta2).beta_hat
-        at_mode = ar.log_posterior_density(problem, prior, mode, sigma2, sigma_beta2)
+        # the joint is the posterior plus a constant in beta
+        at_mode = ar.log_joint_density(problem, prior, mode, sigma2, sigma_beta2)
         for _ in range(10):
             other = mode + 0.1 * rng.standard_normal(2)
-            assert ar.log_posterior_density(problem, prior, other, sigma2, sigma_beta2) < at_mode
+            assert ar.log_joint_density(problem, prior, other, sigma2, sigma_beta2) < at_mode

@@ -120,15 +120,6 @@ class TestOperatorPaths:
         cofactor = _dense_cofactor(problem, prior, 0.8)
         assert_allclose(ops.solve(rhs), np.linalg.solve(cofactor, rhs), rtol=1e-9)
 
-    def test_quad_form_matrix_input_is_columnwise(self):
-        rng = np.random.default_rng(16)
-        problem, prior = random_fixture(rng, 6, 2)
-        ops = ar.MarginalWorkspace(problem, prior.w_beta).operators(2.0)
-        block = rng.standard_normal((6, 5))
-        stacked = ops.quad_form(block)
-        singles = np.array([ops.quad_form(block[:, j]) for j in range(5)])
-        assert_allclose(stacked, singles, rtol=1e-12)
-
     def test_expected_noise_quad_is_trace(self):
         rng = np.random.default_rng(17)
         problem, prior = random_fixture(rng, 6, 2)

@@ -124,8 +124,7 @@ class TestSynthesize:
         # generated data is replicate 0 of the Monte Carlo sampler
         design, exact = ar.phillips_problem(8)
         y, truth = ar.synthesize_observations(design, exact, 0.25, seed=11)
-        rng = ar.replicate_stream(11, 0)
-        eps = ar.draw_noise(design.w, 0.25, rng)
+        eps = ar.bias._noise_block(design, 0.25, 11, 100)[:, 0]
         assert_allclose(y, truth.y_bar + eps, rtol=1e-12)
 
     def test_noise_scale(self):

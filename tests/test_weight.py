@@ -32,7 +32,6 @@ class TestWeight:
         lower = np.linalg.cholesky(mat)
         x = rng.standard_normal((5, 2))
         assert w.logdet == pytest.approx(np.linalg.slogdet(mat)[1], rel=1e-12)
-        assert_allclose(w.apply(x), mat @ x, rtol=1e-12)
         assert_allclose(w.mul_lower(x), lower @ x, rtol=1e-12)
         assert_allclose(w.mul_lower(x, trans=True), lower.T @ x, rtol=1e-12)
         assert_allclose(w.solve_lower(x), np.linalg.solve(lower, x), rtol=1e-10)
@@ -107,7 +106,7 @@ def test_explicit_identity_weights_give_identical_results(n, t_share, seed):
             ar.select_case1(problem, prior, bracket).to_json(),
             ar.select_case2(problem, prior, 0.3, bracket).to_json(),
             [(r.kappa, r.quad_term, r.logdet_term, r.objective, r.case) for r in rows],
-            ar.draw_noise(problem.w, 0.3, np.random.default_rng(seed)).tolist(),
+            ar.synthesize_observations(problem.design, mu, 0.3, seed)[0].tolist(),
             # TrueMu mode draws beta as well; the study runs in the whitened frame and colors nothing
             ar.mc_sigma2_study(
                 problem.design, truth, prior, 0.3, 2.0, replicates=100, seed=seed, mu_mode="true"
