@@ -58,7 +58,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, check_positive_finite
 from .marginal import MarginalObjective, MarginalWorkspace
 from .selection import DEFAULT_BRACKET, DEFAULT_REL_TOL, BoundaryFlag, select_columns
 
@@ -139,8 +139,7 @@ def expected_sigma2_terms(design, ground_truth, sigma2, kappa, w_beta=None):
     signal = ybar^T E^-1 ybar / n, noise = tr(E^-1 W^-1) sigma2 / n.
     Both are nonnegative and the noise term never exceeds sigma2.
     """
-    if not sigma2 > 0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
+    check_positive_finite(sigma2, "sigma2")
     workspace = MarginalWorkspace(design.with_observations(np.zeros(design.n)), w_beta)
     return _sigma2_terms(workspace.operators(kappa), ground_truth, sigma2)
 
@@ -213,10 +212,8 @@ def mc_sigma2_study(
     mu_mode = MuMode(mu_mode)
     if replicates < MIN_REPLICATES:
         raise DomainError(f"replicates must be at least {MIN_REPLICATES}, got {replicates}")
-    if not kappa > 0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    if not sigma2 > 0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
+    check_positive_finite(kappa, "kappa")
+    check_positive_finite(sigma2, "sigma2")
     n, t = design.n, design.t
     problem = design.with_observations(np.zeros(n))
     workspace = MarginalWorkspace(problem, prior.w_beta)
@@ -345,8 +342,7 @@ def mc_kappa_study(
         raise DomainError(f"replicates must be at least {MIN_REPLICATES}, got {replicates}")
     if case not in (1, 2):
         raise DomainError(f"case must be 1 or 2, got {case}")
-    if not sigma2 > 0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
+    check_positive_finite(sigma2, "sigma2")
     eps = _noise_block(design, sigma2, seed, replicates)
     observations = ground_truth.y_bar[:, None] + eps
     workspace = MarginalWorkspace(design.with_observations(ground_truth.y_bar), prior.w_beta)

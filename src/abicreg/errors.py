@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its positive-and-finite scalar check."""
+
+import math
 
 __all__ = [
     "AbicregError",
@@ -22,6 +24,12 @@ class DimensionError(AbicregError, ValueError):
 
 class DomainError(AbicregError, ValueError):
     """A scalar parameter is outside its valid domain (e.g. kappa < 0)."""
+
+
+def check_positive_finite(value, name):
+    """DomainError unless 0 < value < inf; nan fails too."""
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
 class FactorizationError(AbicregError, ArithmeticError):

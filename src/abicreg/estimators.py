@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FactorizationError
+from .errors import DomainError, FactorizationError, check_positive_finite
 from .marginal import MarginalWorkspace
 
 __all__ = [
@@ -88,10 +88,8 @@ def regularized_estimate(problem, w_beta=None, kappa=0.0):
 
 
 def _check_variances(sigma2, sigma_beta2):
-    if not sigma2 > 0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
-    if not sigma_beta2 > 0:
-        raise DomainError(f"sigma_beta2 must be positive, got {sigma_beta2}")
+    check_positive_finite(sigma2, "sigma2")
+    check_positive_finite(sigma_beta2, "sigma_beta2")
 
 
 def bayes_estimate(problem, prior, sigma2, sigma_beta2):

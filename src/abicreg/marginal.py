@@ -60,15 +60,15 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as la
 
-from ._linalg import spd_factor, spd_logdet, spd_solve, symmetrize
+from ._linalg import spd_factor, spd_logdet, symmetrize
 from .errors import (
     DegenerateProblemError,
     DomainError,
     EvaluationError,
     FactorizationError,
     SingularMatrixError,
+    check_positive_finite,
 )
 from .model import RANK_TOL_FACTOR, as_weight
 
@@ -171,16 +171,15 @@ class MarginalWorkspace:
         self.w_beta = as_weight(w_beta, "w_beta", self.t)
         whitened = self.w_beta.solve_lower(self.w.mul_lower(problem.a_matrix, trans=True).T).T
         try:
-            u, self.s, self.vt = la.svd(whitened, full_matrices=False, check_finite=False)
-        except la.LinAlgError as exc:
+            u, self.s, self.vt = np.linalg.svd(whitened, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
             raise FactorizationError(f"SVD of the whitened design failed: {exc}") from exc
         # Fortran order makes U^T the C-ordered view that project_rows reduces along
         self.u = np.asfortranarray(u)
         self.s2 = self.s * self.s
 
     def operators(self, kappa):
-        if not kappa > 0:
-            raise DomainError(f"kappa must be positive, got {kappa}")
+        check_positive_finite(kappa, "kappa")
         return MarginalOperators(self, kappa)
 
     def penalized_solution(self, residual, kappa):
@@ -253,8 +252,8 @@ class MarginalObjective:
     """
 
     def __init__(self, workspace, prior, sigma2=None, observations=None):
-        if sigma2 is not None and not sigma2 > 0:
-            raise DomainError(f"sigma2 must be positive, got {sigma2}")
+        if sigma2 is not None:
+            check_positive_finite(sigma2, "sigma2")
         self.workspace = workspace
         self.sigma2 = None if sigma2 is None else float(sigma2)
         self.case_tag = _case_tag(prior, case1=sigma2 is None)
@@ -302,8 +301,8 @@ class MarginalObjective:
     def __call__(self, kappa, columns=None):
         """ObjectiveValue of arrays shaped as in ``search_total``."""
         kappa = np.asarray(kappa, dtype=float)
-        if not np.all(kappa > 0):
-            raise DomainError(f"kappa must be positive, got {kappa}")
+        if not np.all((kappa > 0) & (kappa < math.inf)):
+            raise DomainError(f"kappa must be positive and finite, got {kappa}")
         quad, logdet, total = self._terms(kappa, columns)
         if columns is None:
             columns, kappa = slice(None), kappa[:, None]
@@ -354,8 +353,7 @@ def marginal_covariance(problem, prior, sigma2, sigma_beta2):
     symmetric matrix. sigma_beta2 = 0 is allowed and drops the prior
     term.
     """
-    if not sigma2 > 0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
+    check_positive_finite(sigma2, "sigma2")
     if sigma_beta2 < 0:
         raise DomainError(f"sigma_beta2 must be nonnegative, got {sigma_beta2}")
     # W^-1 = L_W^-T L_W^-1 and A W_beta^-1 A^T = G^T G with G = L_b^-1 A^T
@@ -371,8 +369,7 @@ def log_marginal_density(problem, prior, sigma2, sigma_beta2):
     with r = y - A mu, evaluated through the kappa-scaled cofactor so
     large n stays affordable.
     """
-    if not sigma_beta2 > 0:
-        raise DomainError(f"sigma_beta2 must be positive, got {sigma_beta2}")
+    check_positive_finite(sigma_beta2, "sigma_beta2")
     kappa = sigma2 / sigma_beta2
     return -0.5 * problem.n * LOG_2PI - 0.5 * neg_log_lik_kappa(problem, prior, sigma2, kappa)
 
@@ -380,13 +377,14 @@ def log_marginal_density(problem, prior, sigma2, sigma_beta2):
 def neg_log_lik_variances(problem, prior, sigma2, sigma_beta2):
     """ln det Sigma + r^T Sigma^-1 r in the (sigma2, sigma_beta2) frame.
 
-    Deliberately computed by factoring Sigma itself (dense, n x n) so it
-    stays an independent cross-check of neg_log_lik_kappa.
+    Deliberately computed by factoring Sigma = L L^T itself (dense, n x n)
+    so it stays an independent cross-check of neg_log_lik_kappa; the
+    quadratic form is |L^-1 r|^2.
     """
     sigma = marginal_covariance(problem, prior, sigma2, sigma_beta2)
     factor = spd_factor(sigma, "marginal covariance")
-    residual = problem.y - problem.a_matrix @ prior.mu
-    return spd_logdet(factor) + float(residual @ spd_solve(factor, residual))
+    half = np.linalg.solve(factor, problem.y - problem.a_matrix @ prior.mu)
+    return spd_logdet(factor) + float(half @ half)
 
 
 def neg_log_lik_kappa(problem, prior, sigma2, kappa):

@@ -19,11 +19,16 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as la
 
 from . import serialize
 from ._linalg import SYMMETRY_RTOL, max_asymmetry, spd_factor, spd_logdet, symmetrize
-from .errors import DimensionError, DomainError, RankDeficiencyWarning
+from .errors import (
+    DimensionError,
+    DomainError,
+    FactorizationError,
+    RankDeficiencyWarning,
+    check_positive_finite,
+)
 
 __all__ = [
     "Weight",
@@ -104,7 +109,9 @@ class Weight:
     ``matrix``. Symmetry and definiteness are checked when the Cholesky
     factor W = L L^T is first needed, which raises FactorizationError or
     caches L; a problem may therefore hold an invalid weight for
-    validate_problem to report. There is deliberately no ``__array__``:
+    validate_problem to report. L comes from np.linalg.cholesky and every
+    product or solve with it runs on numpy, the package's one BLAS (see
+    _linalg). There is deliberately no ``__array__``:
     an implicit conversion would silently rebuild an identity as an
     n x n array.
     """
@@ -145,13 +152,17 @@ class Weight:
         return np.einsum("rn,nm->rm", rows, self._factor(), order="C")
 
     def solve_lower(self, x, trans=False):
-        """L^-1 x, or L^-T x with ``trans``; x itself for the identity."""
+        """L^-1 x, or L^-T x with ``trans``; x itself for the identity.
+
+        numpy has no triangular solve, so this is np.linalg.solve on the
+        cached factor: one O(n^3) LU of L or L^T per call, backward stable
+        like a triangular substitution.
+        """
         x = np.asarray(x, dtype=float)
         if self.matrix is None:
             return x
-        return la.solve_triangular(
-            self._factor(), x, trans="T" if trans else "N", lower=True, check_finite=False
-        )
+        lower = self._factor()
+        return np.linalg.solve(lower.T if trans else lower, x)
 
     def to_array(self):
         """W as a dense array, for reference computations on small problems."""
@@ -256,8 +267,8 @@ class PriorModel:
     def __post_init__(self):
         mu = _as_vector(self.mu, "mu")
         w_beta = as_weight(self.w_beta, "w_beta", mu.shape[0])
-        if self.sigma_beta2 is not None and not self.sigma_beta2 > 0:
-            raise DomainError(f"sigma_beta2 must be positive, got {self.sigma_beta2}")
+        if self.sigma_beta2 is not None:
+            check_positive_finite(self.sigma_beta2, "sigma_beta2")
         object.__setattr__(self, "mu", _freeze(mu))
         object.__setattr__(self, "w_beta", w_beta)
 
@@ -352,7 +363,10 @@ def _symmetry_check(weight, name):
 
 def _rank_test(problem):
     """(largest, smallest singular value of A, the rank-deficiency threshold)."""
-    singular_values = la.svdvals(problem.a_matrix)
+    try:
+        singular_values = np.linalg.svd(problem.a_matrix, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"SVD of a_matrix failed: {exc}") from exc
     smax, smin = float(singular_values[0]), float(singular_values[-1])
     return smax, smin, RANK_TOL_FACTOR * np.finfo(float).eps * smax
 

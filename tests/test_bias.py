@@ -125,6 +125,37 @@ class TestExpectedSigma2:
         assert signal == pytest.approx(1.0, rel=1e-9)  # ybar^T W ybar / n for y=[1,1]
 
 
+NON_FINITE = pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+
+
+class TestNonFiniteParameters:
+    """sigma2 and kappa must satisfy 0 < x < inf; an infinite one used to run on
+    to nan or inf results, or to an EvaluationError."""
+
+    @NON_FINITE
+    @pytest.mark.parametrize("name", ["sigma2", "kappa"])
+    @pytest.mark.parametrize("mu_mode", ["true", "zero"])
+    def test_sigma2_study(self, name, value, mu_mode):
+        design, _, prior, truth = tiny_fixture()
+        args = {"sigma2": 1.0, "kappa": 0.5, name: value}
+        with pytest.raises(ar.DomainError):
+            ar.mc_sigma2_study(design, truth, prior, replicates=100, mu_mode=mu_mode, **args)
+
+    @NON_FINITE
+    @pytest.mark.parametrize("name", ["sigma2", "kappa"])
+    def test_expected_sigma2_terms(self, name, value):
+        design, _, _, truth = tiny_fixture()
+        args = {"sigma2": 1.0, "kappa": 0.5, name: value}
+        with pytest.raises(ar.DomainError):
+            ar.expected_sigma2_terms(design, truth, **args)
+
+    @NON_FINITE
+    def test_kappa_study(self, value):
+        design, _, prior, truth = tiny_fixture()
+        with pytest.raises(ar.DomainError):
+            ar.mc_kappa_study(design, truth, prior, sigma2=value, replicates=100)
+
+
 class TestMcSigma2Study:
     def test_zero_mu_matches_formula_on_fixture(self):
         design, _, prior, truth = tiny_fixture()

@@ -455,3 +455,61 @@ class TestOverflow:
         stderr = capsys.readouterr().err
         assert exit_code == 3, stderr
         assert json.loads(stderr)["error"]["category"] == "numeric"
+
+
+class TestSvdFailure:
+    @pytest.mark.parametrize("argv", ["select-kappa", "solve --method ls"])
+    def test_exits_3(self, generated, tmp_path, capsys, monkeypatch, argv):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        problem = generated / "gen" / "problem.json"
+        exit_code = cli.main([*argv.split(), "--problem", str(problem), "--out", str(tmp_path)])
+        stderr = capsys.readouterr().err
+        assert exit_code == 3, stderr
+        assert json.loads(stderr)["error"]["category"] == "numeric"
+
+
+# Runs in a child process where `import scipy` fails: every subcommand, on a
+# problem with dense W and W_beta so that every factorization and solve runs.
+WITHOUT_SCIPY = """
+import json, sys
+from pathlib import Path
+sys.modules["scipy"] = None
+import abicreg
+from abicreg import cli
+loaded = sorted(name for name in sys.modules if name.startswith("scipy") and sys.modules[name])
+assert not loaded, loaded
+gen = ["--kind", "phillips", "--n", "16", "--seed", "3"]
+assert cli.main(["generate", *gen, "--sigma2", "1e-4", "--out", "gen"]) == 0
+doc = json.loads(Path("gen/problem.json").read_text())
+doc["W"] = [[2.0 if i == j else 0.5 ** abs(i - j) for j in range(16)] for i in range(16)]
+doc["W_beta"] = [[2.0 if i == j else -0.5 * (abs(i - j) == 1) for j in range(16)] for i in range(16)]
+Path("dense.json").write_text(json.dumps(doc))
+runs = [
+    ["solve", "--method", "ls"],
+    ["solve", "--method", "regularized", "--kappa", "1e-3"],
+    ["solve", "--method", "bayes", "--sigma-beta2", "0.1"],
+    ["select-kappa", "--case", "1"],
+    ["select-kappa", "--case", "2"],
+    ["sweep"],
+    ["bias-study", "--study", "sigma2", "--truth", "gen/truth.json", "--sigma2", "1e-4",
+     "--kappa", "1e-3", "--replicates", "300", "--mu-mode", "true"],
+    ["bias-study", "--study", "kappa", "--truth", "gen/truth.json", "--sigma2", "1e-4",
+     "--replicates", "100"],
+]
+for i, argv in enumerate(runs):
+    code = cli.main([*argv, "--problem", "dense.json", "--out", f"out{i}"])
+    assert code == 0, (argv, code)
+print("ok", len(runs))
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    cmd, env = cli_invocation()
+    proc = subprocess.run(
+        [cmd[0], "-c", WITHOUT_SCIPY], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok", "8"]

@@ -114,6 +114,15 @@ class TestBayes:
         with pytest.raises(ar.DomainError):
             ar.bayes_estimate(problem, prior, sigma2=1.0, sigma_beta2=-2.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_variances_rejected(self, value):
+        problem = ar.InverseProblem([[1.0], [1.0]], [1.0, 1.0])
+        prior = ar.default_prior(1)
+        with pytest.raises(ar.DomainError):
+            ar.bayes_estimate(problem, prior, sigma2=value, sigma_beta2=1.0)
+        with pytest.raises(ar.DomainError):
+            ar.bayes_estimate(problem, prior, sigma2=1.0, sigma_beta2=value)
+
 
 class TestEstimateContainer:
     def test_json_payload(self):

@@ -135,6 +135,47 @@ class TestOperatorPaths:
             workspace.operators(0.0)
 
 
+class TestNonFiniteParameters:
+    """sigma2 and kappa must satisfy 0 < x < inf; abic_case2 with sigma2 = inf
+    used to return the ln det E term alone."""
+
+    @pytest.fixture
+    def fixture(self):
+        _, problem, prior, _ = tiny_fixture()
+        return problem, prior, ar.MarginalWorkspace(problem)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejected(self, fixture, value):
+        problem, prior, workspace = fixture
+        calls = [
+            lambda: ar.MarginalObjective(workspace, prior, sigma2=value),
+            lambda: ar.MarginalObjective(workspace, prior)([0.5, value]),
+            lambda: workspace.operators(value),
+            lambda: ar.abic_case1(problem, prior, value),
+            lambda: ar.abic_case2(problem, prior, value, 0.5),
+            lambda: ar.abic_case2(problem, prior, 1.0, value),
+            lambda: ar.sigma2_hat(problem, prior, value),
+            lambda: ar.marginal_covariance(problem, prior, value, 1.0),
+            lambda: ar.log_marginal_density(problem, prior, 1.0, value),
+        ]
+        for call in calls:
+            with pytest.raises(ar.DomainError):
+                call()
+
+
+class TestSvdFailure:
+    def test_linalg_error_becomes_factorization_error(self, monkeypatch):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        _, problem, _, _ = tiny_fixture()
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(ar.FactorizationError, match="did not converge"):
+            ar.MarginalWorkspace(problem)
+        with pytest.raises(ar.FactorizationError, match="did not converge"):
+            ar.condition_estimate(problem)
+
+
 class TestObjectiveRelations:
     def test_two_parameterizations_agree(self):
         rng = np.random.default_rng(18)

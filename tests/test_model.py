@@ -80,6 +80,12 @@ class TestPriorModel:
         with pytest.raises(ar.DimensionError):
             ar.default_prior(2, mu=[1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("sigma_beta2", [0.0, -1.0, float("nan"), float("inf")])
+    def test_sigma_beta2_must_be_positive_and_finite(self, sigma_beta2):
+        # an infinite one used to pass, and validate_problem reported it positive
+        with pytest.raises(ar.DomainError):
+            ar.default_prior(2, sigma_beta2=sigma_beta2)
+
     def test_mu_length_error_names_mu(self, tmp_path):
         # without a W_beta key the identity is built for t; the error is still mu's
         with pytest.raises(ar.DimensionError, match="^mu has length 2, expected 1$"):

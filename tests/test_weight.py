@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,25 @@ class TestWeight:
         assert_allclose(w.mul_lower(x, trans=True), lower.T @ x, rtol=1e-12)
         assert_allclose(w.solve_lower(x), np.linalg.solve(lower, x), rtol=1e-10)
         assert_allclose(w.solve_lower(x, trans=True), np.linalg.solve(lower.T, x), rtol=1e-10)
+
+    @pytest.mark.parametrize("trans", [False, True], ids=["L", "LT"])
+    def test_solve_lower_matches_mpmath_on_ill_conditioned_weight(self, trans):
+        # a second-difference prior plus a 1e-10 ridge: cond(L) is about 4e5
+        t = 16
+        diff2 = np.diff(np.eye(t), 2, axis=0)
+        w = ar.as_weight(diff2.T @ diff2 + 1e-10 * np.eye(t), "w_beta")
+        lower = w._factor()
+        assert 3e5 < np.linalg.cond(lower) < 5e5
+        rhs = np.random.default_rng(3).standard_normal((t, 3))
+        with mp.workdps(50):
+            factor = mp.matrix(lower.tolist())
+            factor = factor.T if trans else factor
+            exact = np.array(
+                [[float(v) for v in mp.lu_solve(factor, mp.matrix(col.tolist()))] for col in rhs.T]
+            ).T
+        block, vector = w.solve_lower(rhs, trans=trans), w.solve_lower(rhs[:, 0], trans=trans)
+        assert np.linalg.norm(block - exact) <= 1e-13 * np.linalg.norm(exact)
+        assert np.linalg.norm(vector - exact[:, 0]) <= 1e-13 * np.linalg.norm(exact[:, 0])
 
     def test_weight_passes_through_and_size_is_checked(self):
         w = ar.as_weight(np.eye(3), "w")
