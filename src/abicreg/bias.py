@@ -251,8 +251,12 @@ def mc_sigma2_study(
         quad = perp + np.einsum("i,ij,ij->j", ops.damping, coef, coef)
         estimates[start : start + len(z)] = quad / n
 
-    mc_mean = float(np.mean(estimates))
-    mc_std_error = float(np.std(estimates, ddof=1) / math.sqrt(replicates))
+    # moments of estimates / 2^k, 2^k just above the largest: exact, and neither
+    # their sum nor their squares can overflow
+    scale = math.ldexp(1.0, math.frexp(float(np.max(estimates)))[1])
+    estimates /= scale
+    mc_mean = float(np.mean(estimates) * scale)
+    mc_std_error = float(np.std(estimates, ddof=1) * scale / math.sqrt(replicates))
     return BiasReport(
         analytic_expectation=analytic,
         mc_mean=mc_mean,
@@ -279,9 +283,6 @@ class QuantileSummary:
         qs = np.quantile(np.asarray(values, dtype=float), [0.05, 0.25, 0.50, 0.75, 0.95])
         return cls(*(float(q) for q in qs))
 
-    def to_json(self):
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ModeSummary:
@@ -290,9 +291,6 @@ class ModeSummary:
     sigma_beta2_hat: QuantileSummary
     boundary_fraction: float
     failures: int
-
-    def to_json(self):
-        return asdict(self)
 
 
 @dataclass(frozen=True)

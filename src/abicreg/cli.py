@@ -80,12 +80,16 @@ def _emit(out_dir, config, result):
     return out
 
 
-def _resolve_prior(loaded, mu_mode):
-    if mu_mode == "zero":
-        return loaded.prior.with_zero_mean()
-    if mu_mode == "true" and loaded.mu_assumed_zero:
+def _problem_inputs(args):
+    """(loaded --problem file, prior after --mu-mode, --sigma2 or else the file's sigma2)."""
+    loaded = load_problem(args.problem)
+    prior = loaded.prior
+    if args.mu_mode == "zero":
+        prior = prior.with_zero_mean()
+    elif args.mu_mode == "true" and loaded.mu_assumed_zero:
         raise CliConfigError("--mu-mode true needs an explicit mu in the problem file")
-    return loaded.prior
+    sigma2 = args.sigma2 if args.sigma2 is not None else loaded.sigma2
+    return loaded, prior, sigma2
 
 
 def _generator_spec(args):
@@ -138,10 +142,8 @@ def _cmd_generate(args):
 
 
 def _cmd_solve(args):
-    loaded = load_problem(args.problem)
-    prior = _resolve_prior(loaded, args.mu_mode)
+    loaded, prior, sigma2 = _problem_inputs(args)
     problem = loaded.problem
-    sigma2 = args.sigma2 if args.sigma2 is not None else loaded.sigma2
     sigma_beta2 = args.sigma_beta2 if args.sigma_beta2 is not None else loaded.sigma_beta2
     if args.method == "ls":
         estimate = ls_estimate(problem)
@@ -171,11 +173,9 @@ def _cmd_solve(args):
 
 
 def _cmd_select_kappa(args):
-    loaded = load_problem(args.problem)
-    prior = _resolve_prior(loaded, args.mu_mode)
+    loaded, prior, sigma2 = _problem_inputs(args)
     problem = loaded.problem
     bracket = (args.bracket[0], args.bracket[1])
-    sigma2 = args.sigma2 if args.sigma2 is not None else loaded.sigma2
     if args.case == 1:
         selection = select_case1(problem, prior, bracket, args.rel_tol)
     else:
@@ -276,10 +276,8 @@ def _cmd_bias_study(args):
 
 
 def _cmd_sweep(args):
-    loaded = load_problem(args.problem)
-    prior = _resolve_prior(loaded, args.mu_mode)
+    loaded, prior, sigma2 = _problem_inputs(args)
     problem = loaded.problem
-    sigma2 = args.sigma2 if args.sigma2 is not None else loaded.sigma2
     if args.case == 2 and sigma2 is None:
         raise CliConfigError("case 2 needs --sigma2 or a sigma2 entry in the problem file")
     bracket = (args.bracket[0], args.bracket[1])
@@ -331,18 +329,19 @@ def _add_generator_flags(sub):
     sub.add_argument("--seed", type=int, default=0, help="generator seed")
 
 
-def _add_bracket_flags(sub):
+def _add_bracket_flags(sub, rel_tol=True):
     sub.add_argument(
         "--bracket",
         nargs=2,
         type=_finite,
         default=list(DEFAULT_BRACKET),
         metavar=("LO", "HI"),
-        help="log10 kappa search bracket",
+        help="log10 kappa bracket",
     )
-    sub.add_argument(
-        "--rel-tol", type=_finite, default=DEFAULT_REL_TOL, help="relative tolerance on kappa"
-    )
+    if rel_tol:
+        sub.add_argument(
+            "--rel-tol", type=_finite, default=DEFAULT_REL_TOL, help="relative tolerance on kappa"
+        )
 
 
 def build_parser():
@@ -401,14 +400,7 @@ def build_parser():
     sweep.add_argument("--sigma2", type=_finite, default=None, help="known noise variance (case 2)")
     sweep.add_argument("--mu-mode", choices=["auto", "true", "zero"], default="auto")
     sweep.add_argument("--points", type=int, default=97)
-    sweep.add_argument(
-        "--bracket",
-        nargs=2,
-        type=_finite,
-        default=list(DEFAULT_BRACKET),
-        metavar=("LO", "HI"),
-        help="log10 kappa grid range",
-    )
+    _add_bracket_flags(sweep, rel_tol=False)
     _add_common_out(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FactorizationError, check_positive_finite
-from .marginal import MarginalWorkspace
+from .marginal import LOG_2PI, MarginalWorkspace
 
 __all__ = [
     "EstimatorMethod",
@@ -26,8 +26,6 @@ __all__ = [
     "bayes_estimate",
     "log_joint_density",
 ]
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 class EstimatorMethod(enum.Enum):

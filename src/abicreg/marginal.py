@@ -23,10 +23,13 @@ W_beta = L_b L_b^T and take the thin SVD of the whitened design
 so that E = L_W^-T (I + U diag(s^2 / kappa) U^T) L_W^-1. With
 z = L_W^T r and c = U^T z:
 
-    r^T E^-1 r    = |z - U c|^2 + sum kappa c_i^2 / (s_i^2 + kappa)
+    r^T E^-1 r    = |z - U c|^2 + sum d_i c_i^2
     ln det E      = sum log1p(s_i^2 / kappa) - ln det W
-    tr(E^-1 W^-1) = (n - t) + sum kappa / (s_i^2 + kappa)
-    E^-1 r        = L_W (z - U (s^2 / (s^2 + kappa) * c))
+    tr(E^-1 W^-1) = (n - t) + sum d_i
+    E^-1 r        = L_W ((z - U c) + U (d * c))
+
+with the damping d = kappa / (s^2 + kappa). MarginalWorkspace._filter
+computes d and ln det E, for every kappa a bracket admits.
 
 The same decomposition gives the point estimates. The minimizer of
 (r - A x)^T W (r - A x) + kappa x^T W_beta x is
@@ -130,18 +133,18 @@ class MarginalOperators:
         self.kappa = float(kappa)
         self.n = workspace.n
         self.t = workspace.t
+        damping, logdet = workspace._filter(np.array([self.kappa]))
         # kappa / (s^2 + kappa): the share of each singular direction E^-1 keeps
-        self.damping = self.kappa / (workspace.s2 + self.kappa)
-        self.logdet = float(np.sum(np.log1p(workspace.s2 / self.kappa))) - workspace.w.logdet
+        self.damping = damping[0]
+        self.logdet = float(logdet[0])
 
     def solve(self, rhs):
         """E^-1 rhs for a vector or a matrix of column vectors."""
         ws = self._ws
         z = ws.w.mul_lower(rhs, trans=True)
-        coef = ws.u.T @ z
-        filt = ws.s2 / (ws.s2 + self.kappa)
-        filtered = filt * coef if coef.ndim == 1 else filt[:, None] * coef
-        return ws.w.mul_lower(z - ws.u @ filtered)
+        _, coef = ws.project_whitened(z)
+        z += ws.u @ (self.damping * coef.T).T
+        return ws.w.mul_lower(z)
 
     def quad_form(self, residual):
         """r^T E^-1 r for one residual vector r."""
@@ -181,6 +184,18 @@ class MarginalWorkspace:
     def operators(self, kappa):
         check_positive_finite(kappa, "kappa")
         return MarginalOperators(self, kappa)
+
+    def _filter(self, kappa):
+        """(kappa / (s^2 + kappa), ln det E) at a 1-D array of K kappas, (K, t)
+        and (K,). log1p(s^2 / kappa) is ln s^2 - ln kappa where s^2 / kappa
+        overflows; 1 is then below half an ulp of s^2 / kappa."""
+        kappa = kappa[:, None]
+        with np.errstate(over="ignore"):
+            ratio = self.s2 / kappa
+        terms = np.log1p(ratio)
+        rows, cols = np.nonzero(np.isinf(ratio))
+        terms[rows, cols] = np.log(self.s2[cols]) - np.log(kappa[rows, 0])
+        return kappa / (self.s2 + kappa), terms.sum(axis=1) - self.w.logdet
 
     def penalized_solution(self, residual, kappa):
         """L_b^-T V diag(s / (s^2 + kappa)) U^T L_W^T r, the minimizer of
@@ -277,10 +292,7 @@ class MarginalObjective:
 
     def _terms(self, kappa, columns):
         """(quad of the scaled residuals, ln det E, objective without offset)."""
-        s2 = self.workspace.s2
-        kappa = kappa[:, None]
-        logdet = np.log1p(s2 / kappa).sum(axis=1) - self.workspace.w.logdet
-        damping = kappa / (s2 + kappa)
+        damping, logdet = self.workspace._filter(kappa)
         if columns is None:
             quad = self._perp + np.einsum("ki,ri->kr", damping, self._coef2)
             logdet = logdet[:, None]

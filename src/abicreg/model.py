@@ -335,10 +335,6 @@ class ValidationReport:
     def to_json(self):
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
-    def __str__(self):
-        lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in self.checks]
-        return "\n".join(lines)
-
 
 def _pd_check(weight, name):
     # the identity needs no factorization to be positive definite
@@ -384,7 +380,6 @@ def validate_problem(problem, prior):
         )
     smax, smin, threshold = _rank_test(problem)
     checks = [
-        ValidationCheck("n_ge_t", problem.n >= problem.t, f"n={problem.n}, t={problem.t}"),
         ValidationCheck(
             "a_full_column_rank",
             smin > threshold,
@@ -395,14 +390,6 @@ def validate_problem(problem, prior):
         _symmetry_check(prior.w_beta, "w_beta"),
         _pd_check(prior.w_beta, "w_beta"),
     ]
-    if prior.sigma_beta2 is not None:
-        checks.append(
-            ValidationCheck(
-                "sigma_beta2_positive",
-                prior.sigma_beta2 > 0,
-                f"sigma_beta2={prior.sigma_beta2!r}",
-            )
-        )
     return ValidationReport(tuple(checks))
 
 

@@ -82,8 +82,7 @@ def phillips_problem(n):
     exactly symmetric because the kernel depends only on s - u and the
     grid is shared. Returns (design, exact_solution).
     """
-    if n < 8 or n % 4:
-        raise DomainError(f"phillips needs n >= 8 divisible by 4, got n={n}")
+    GeneratorSpec(GeneratorKind.PHILLIPS, n=n)  # DomainError unless n >= 8 is divisible by 4
     h = 12.0 / n
     mid = -6.0 + (np.arange(n) + 0.5) * h
     a_matrix = _hump(mid[:, None] - mid[None, :]) * h

@@ -68,7 +68,7 @@ class TestNoiseBlock:
             assert_allclose(y, truth.y_bar + eps[:, 0], rtol=1e-13, atol=1e-15)
 
 
-class TestDrawNoise:
+class TestColoredNoise:
     def test_identity_weight_is_plain_gaussian(self):
         design = ar.ProblemDesign(np.ones((4, 1)), np.eye(4))
         eps = ar.bias._noise_block(design, 4.0, 0, 1)[:, 0]
@@ -197,6 +197,19 @@ class TestMcSigma2Study:
         design, _, prior, truth = tiny_fixture()
         with pytest.raises(ar.DomainError):
             ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=50)
+
+    @pytest.mark.parametrize("mu_mode", list(ar.MuMode))
+    def test_spread_of_huge_estimates(self, mu_mode):
+        # the squared deviations of estimates near 1e155 overflow; their standard error does not
+        design, exact = ar.spectrum_problem(40, 8, 2.0, seed=1)
+        truth = ar.GroundTruth.from_design(design, exact)
+        prior = ar.default_prior(8, mu=exact)
+        huge, large = (
+            ar.mc_sigma2_study(design, truth, prior, sigma2, 1.0, 200, seed=2, mu_mode=mu_mode)
+            for sigma2 in (1e155, 1e100)
+        )
+        assert huge.mc_std_error / 1e155 == pytest.approx(large.mc_std_error / 1e100, rel=1e-9)
+        assert huge.mc_mean / 1e155 == pytest.approx(large.mc_mean / 1e100, rel=1e-9)
 
     def test_json_payload(self):
         design, _, prior, truth = tiny_fixture()

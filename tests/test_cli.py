@@ -351,6 +351,19 @@ INDEFINITE = {"W": [[1.0, 2.0], [2.0, 1.0]]}
 ASYMMETRIC = {"W": [[1.0, 0.0], [1.0, 1.0]]}
 
 
+def _phillips_16():
+    """The problem file of `generate --kind phillips --n 16 --sigma2 1e-4 --seed 1`."""
+    design, exact = ar.phillips_problem(16)
+    y, _ = ar.synthesize_observations(design, exact, 1e-4, seed=1)
+    doc = {"A": design.a_matrix.tolist(), "y": y.tolist(), "mu": exact.tolist(), "sigma2": 1e-4}
+    return json.dumps(doc)
+
+
+# its largest s^2 is 33.7, so s^2 / kappa overflows at the bottom of the float range
+PHILLIPS_16 = _phillips_16()
+LOWEST_BRACKET = "--bracket -307 -306"
+
+
 def fuzz(case_id, argv, code, problem=None, truth='{"exact_solution": [1.0]}'):
     return pytest.param(argv, problem or {}, truth, code, id=case_id)
 
@@ -361,6 +374,22 @@ FUZZ_CASES = [
     fuzz("bias-kappa-ok", f"{BIAS_GEN} --study kappa --sigma2 0.01", 0),
     fuzz("bias-files-ok", BIAS_FILES, 0),
     fuzz("generate-sigma2-zero", "generate --kind phillips --n 8 --sigma2 0 --out {out}", 0),
+    fuzz(
+        "sweep-lowest-bracket",
+        f"sweep --problem {{problem}} --out {{out}} {LOWEST_BRACKET}",
+        0,
+        PHILLIPS_16,
+    ),
+    fuzz("select-lowest-bracket", f"{SELECT} {LOWEST_BRACKET}", 0, PHILLIPS_16),
+    # W_beta = 1e-300 I makes s^2 = 5e300, which s^2 / kappa overflows at kappa = 1e-12
+    fuzz("sweep-tiny-w-beta", SWEEP, 0, {"W_beta": [[1e-300]]}),
+    # the spread of estimates near 3e299 and the sum of 1000 near 3e305 used to overflow
+    fuzz("bias-sigma2-huge", f"{BIAS_GEN} --study sigma2 --sigma2 1e300 --kappa 1", 0),
+    fuzz(
+        "bias-sigma2-near-max",
+        f"{BIAS_GEN} --study sigma2 --sigma2 1e306 --kappa 1 --replicates 1000",
+        0,
+    ),
     fuzz("kappa-inf", f"{SOLVE} regularized --kappa inf", 2),
     fuzz("kappa-nan", f"{SOLVE} regularized --kappa nan", 2),
     fuzz("kappa-text", f"{SOLVE} regularized --kappa abc", 2),
@@ -427,6 +456,13 @@ class TestInProcessFuzz:
         assert "Traceback" not in stderr
         assert exit_code in {0, 2, 3, 4}
         assert exit_code == code, stderr
+        if not code:
+            # a finished run prints nothing and writes every objective value it found
+            assert stderr == ""
+            result = tmp_path / "out" / "result.json"
+            if result.exists():
+                trace = read_json(result)["result"].get("trace", [])
+                assert all(value is not None for _, value in trace)
         if code:
             category = {2: "config", 3: "numeric", 4: "io"}[code]
             assert json.loads(stderr)["error"]["category"] == category

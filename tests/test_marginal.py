@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -94,7 +95,7 @@ def _dense_cofactor(problem, prior, kappa):
 
 
 class TestOperatorPaths:
-    def test_dense_and_lowrank_agree(self):
+    def test_spectral_operators_match_dense_cofactor(self):
         # the spectral operators against numpy on the explicit dense E
         rng = np.random.default_rng(13)
         for trial in range(15):
@@ -128,11 +129,45 @@ class TestOperatorPaths:
         expected = np.trace(np.linalg.solve(cofactor, np.linalg.inv(problem.w.to_array())))
         assert ops.expected_noise_quad() == pytest.approx(expected, rel=1e-10)
 
-    def test_invalid_path_rejected(self):
+    def test_nonpositive_kappa_rejected(self):
         problem = ar.InverseProblem([[1.0], [1.0]], [1.0, 1.0])
         workspace = ar.MarginalWorkspace(problem)
         with pytest.raises(ar.DomainError):
             workspace.operators(0.0)
+
+
+def _lowest_kappa_fixtures():
+    """Phillips 16 as generated with seed 1, with W_beta = I and 1e-10 I, and a
+    12 x 6 design with dense W and W_beta = 1e-12 times a dense SPD matrix."""
+    design, exact = ar.phillips_problem(16)
+    problem = design.with_observations(ar.synthesize_observations(design, exact, 1e-4, seed=1)[0])
+    rng = np.random.default_rng(42)
+    dense, prior = random_fixture(rng, 12, 6, cond=1e4)
+    return [
+        (problem, ar.default_prior(16, mu=exact)),
+        (problem, ar.default_prior(16, mu=exact, w_beta=1e-10 * np.eye(16))),
+        (dense, ar.default_prior(6, mu=prior.mu, w_beta=1e-12 * prior.w_beta.matrix)),
+    ]
+
+
+class TestLowestKappa:
+    """ln det E at the bottom of the float range, where s^2 / kappa overflows,
+    against 50-digit mpmath: sum ln(1 + s^2 / kappa) - ln det W with s^2 the
+    eigenvalues of L_b^-1 A^T W A L_b^-T."""
+
+    @pytest.mark.parametrize("kappa", [5e-324, 1e-307, 1e-300])
+    def test_logdet_high_precision(self, kappa):
+        with mp.workdps(50):
+            for problem, prior in _lowest_kappa_fixtures():
+                a = mp.matrix(problem.a_matrix.tolist())
+                w = mp.matrix(problem.w.to_array().tolist())
+                half = mp.inverse(mp.cholesky(mp.matrix(prior.w_beta.to_array().tolist())))
+                s2 = mp.eigsy(half * a.T * w * a * half.T, eigvals_only=True)
+                exact = mp.fsum(mp.log(1 + x / mp.mpf(kappa)) for x in s2) - mp.log(mp.det(w))
+                ops = ar.MarginalWorkspace(problem, prior.w_beta).operators(kappa)
+                case1 = ar.abic_case1(problem, prior, kappa)
+                for value in (ops.logdet, case1.logdet_term):
+                    assert float(abs(value - exact) / abs(exact)) <= 1e-13
 
 
 class TestNonFiniteParameters:
