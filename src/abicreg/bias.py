@@ -24,37 +24,39 @@ study selects kappa for its n x R block of measurements in one lockstep
 search per mode (selection.select_columns); each column's choice is
 bit-identical to select_case1/select_case2 on that replicate alone.
 
-The sigma2 study never colors its draws: it works in the whitened frame
-z = L_W^T r of the workspace, where the raw standard normals already are
-the noise, L_W^T eps = sqrt(sigma2) z_eps. A TrueMu prior draw,
-L_W^T A beta_dev = sqrt(sigma2/kappa) U diag(s) V^T z_beta, lies in
-range(U), so it adds sqrt(sigma2/kappa) s * (V^T z_beta) to c = U^T z
-and leaves the part orthogonal to U alone; ZeroMu adds L_W^T ybar to
-every replicate. The study is one serial loop: it draws a chunk of
-about 8 MB of rows into one set of buffers and reduces it to its
-estimates with the explicit difference z - U c of
-MarginalWorkspace.project_whitened. No n x R array is ever held.
+The sigma2 study draws only the t + 1 numbers its estimate
+(|z - U c|^2 + sum d_i c_i^2) / n depends on, c = U^T z in the whitened
+frame z = L_W^T r; N(0, sigma2 I) is invariant under rotation. ZeroMu
+has z ~ N(o, sigma2 I), o = L_W^T ybar, so c = o_c + sigma g and, with
+o_perp turned onto one axis of the complement of range(U),
+|z - U c|^2 = (|o_perp| + sigma g_0)^2 + sigma2 chi2(n - t - 1). A
+TrueMu prior draw, sqrt(sigma2/kappa) U diag(s) V^T z_beta, adds only to
+c: c = sigma h g with h = sqrt(1 + s^2/kappa) and o = 0, so d h^2 = 1
+makes quad/sigma2 ~ chi2(n) and a wrong damping shows. One loop reduces
+chunks of about 8 MB of rows without BLAS, in units of the power of four
+just above max(sigma2, |o|^2), where no term overflows.
 
 Randomness comes from counter-based streams (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC11): numpy's Philox
 (Philox4x64-10) keyed by the seed, which must lie in [0, 2**128). One
-filler, _normal_rows, draws every normal in blocks: block b is one
-standard_normal fill of per_block rows from counter (0, b, word, 0), and
+filler, _normal_rows, draws every number in blocks: block b is one
+fill of per_block rows from counter (0, b, word, 0), and
 replicate r is row r % per_block of block r // per_block. It has two
 layouts. The kappa study and problems.synthesize_observations take one
 row per block, so replicate r draws from counter (0, r, 0, 0), the
 stream of replicate_stream(seed, r), and a generated problem's noise is
 replicate 0's. The sigma2 study takes 256 rows per block, one fill at
-numpy's bulk speed: word 0 holds the noise and word 1 the TrueMu prior
-normals, so the noise is the same in both modes and for every t. A final
-partial block draws a prefix of the full block's rows, so chunking
-changes no result.
+numpy's bulk speed: word 0 holds a replicate's normals g and g_0 (g_0
+unused when n = t), word 1 its chi2(n - t - 1) as 2 standard_gamma.
+A final partial block draws a prefix of the full block's rows, so
+chunking changes no result.
 """
 
 import enum
 import math
 import operator
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -79,8 +81,8 @@ __all__ = [
 
 RNG_DESCRIPTION = "numpy Philox4x64-10, key=seed, counter=(0, replicate, 0, 0)"
 BLOCK_RNG_DESCRIPTION = (
-    "numpy Philox4x64-10, key=seed, replicate r = row r mod 256 of block r // 256;"
-    " noise counter (0, b, 0, 0), prior counter (0, b, 1, 0)"
+    "numpy Philox4x64-10, key=seed, replicate r = row r mod 256 of block b = r // 256;"
+    " t + 1 normals from counter (0, b, 0, 0), one chi-square from (0, b, 1, 0)"
 )
 
 MIN_REPLICATES = 100
@@ -140,28 +142,37 @@ def expected_sigma2_terms(design, ground_truth, sigma2, kappa, w_beta=None):
     Both are nonnegative and the noise term never exceeds sigma2.
     """
     check_positive_finite(sigma2, "sigma2")
+    _, ops, perp, coef = _truth_frame(design, ground_truth, w_beta, kappa)
+    return _sigma2_terms(ops, perp, coef, sigma2)
+
+
+def _truth_frame(design, ground_truth, w_beta, kappa):
+    """(workspace, its operators at kappa, |o - U c|^2, c) of a zero-observation
+    workspace and o = L_W^T ybar, projected by project_rows: no BLAS product."""
     workspace = MarginalWorkspace(design.with_observations(np.zeros(design.n)), w_beta)
-    return _sigma2_terms(workspace.operators(kappa), ground_truth, sigma2)
+    perp, coef = workspace.project_rows(ground_truth.y_bar[None, :])
+    return workspace, workspace.operators(kappa), float(perp[0]), coef[0]
 
 
-def _sigma2_terms(ops, ground_truth, sigma2):
-    """expected_sigma2_terms from the operators of a zero-observation workspace."""
-    signal = ops.quad_form(ground_truth.y_bar) / ops.n
-    noise = ops.expected_noise_quad() * sigma2 / ops.n
-    return signal, noise
+def _sigma2_terms(ops, perp, coef, sigma2):
+    signal = (perp + float(ops.damping @ (coef * coef))) / ops.n
+    return signal, ops.expected_noise_quad() / ops.n * sigma2
 
 
 _BLOCK = 256  # replicates per block of the sigma2 study
 
 
-def _normal_rows(seed, start, out, word=0, per_block=_BLOCK):
-    """Fill row i of ``out`` with the standard normals of replicate start + i.
+def _normal_rows(
+    seed, start, out, word=0, per_block=_BLOCK, draw=lambda rng, out: rng.standard_normal(out=out)
+):
+    """Fill row i of ``out`` with the standard normals of replicate start + i,
+    or with what another ``draw(rng, out=block)`` writes into a block of rows.
 
-    Block b is one standard_normal fill of ``per_block`` rows from Philox
-    keyed by ``seed`` with counter (0, b, word, 0), and replicate r is row
-    r % per_block of block r // per_block; ``start`` is a multiple of
-    per_block. With per_block = 1, row r is replicate_stream(seed, r)'s
-    first draws. A final partial block is a prefix of the full block's rows.
+    Block b is one draw of ``per_block`` rows from Philox keyed by ``seed``
+    with counter (0, b, word, 0), and replicate r is row r % per_block of
+    block r // per_block; ``start`` is a multiple of per_block. With
+    per_block = 1, row r is replicate_stream(seed, r)'s first draws. A final
+    partial block is a prefix of the full block's rows.
     """
     bit_generator = np.random.Philox(key=check_seed(seed))
     rng = np.random.Generator(bit_generator)
@@ -173,7 +184,7 @@ def _normal_rows(seed, start, out, word=0, per_block=_BLOCK):
     for i in range(0, len(out), per_block):
         counter[1] = (start + i) // per_block
         bit_generator.state = state
-        rng.standard_normal(out=out[i : i + per_block])
+        draw(rng, out=out[i : i + per_block])
 
 
 def _noise_block(design, sigma2, seed, replicates):
@@ -184,19 +195,19 @@ def _noise_block(design, sigma2, seed, replicates):
     return _color(design.w, sigma2, z.T)
 
 
+def _sum_squares(rows, shift, spread):
+    """sum_j (shift_j + spread_j rows_ij)^2 for each row i; overwrites rows."""
+    rows *= spread
+    rows += shift
+    return np.einsum("ij,ij->i", rows, rows)
+
+
 # Replicates are drawn and reduced in chunks of whole blocks, about this many bytes of normals
 _CHUNK_BYTES = 8 * 2**20
 
 
 def mc_sigma2_study(
-    design,
-    ground_truth,
-    prior,
-    sigma2,
-    kappa,
-    replicates=20000,
-    seed=0,
-    mu_mode=MuMode.ZERO_MU,
+    design, ground_truth, prior, sigma2, kappa, replicates=20000, seed=0, mu_mode=MuMode.ZERO_MU
 ):
     """Monte Carlo check of the variance estimate at fixed kappa.
 
@@ -206,57 +217,47 @@ def mc_sigma2_study(
     truth, analyzes with mu = 0, and compares against the sum of
     expected_sigma2_terms.
 
-    One loop draws chunks of whole blocks of replicates into one set of
-    buffers and reduces each in the whitened frame; see the module docstring.
+    Each replicate draws c = U^T z and |z - U c|^2 from their exact
+    distributions, in chunks of whole blocks; see the module docstring.
+    DomainError if the mean or its standard error is not representable.
     """
     mu_mode = MuMode(mu_mode)
     if replicates < MIN_REPLICATES:
         raise DomainError(f"replicates must be at least {MIN_REPLICATES}, got {replicates}")
-    check_positive_finite(kappa, "kappa")
     check_positive_finite(sigma2, "sigma2")
     n, t = design.n, design.t
-    problem = design.with_observations(np.zeros(n))
-    workspace = MarginalWorkspace(problem, prior.w_beta)
-    ops = workspace.operators(kappa)
-    noise_scale = math.sqrt(sigma2)
+    workspace, ops, perp, coef = _truth_frame(design, ground_truth, prior.w_beta, kappa)
     if mu_mode is MuMode.TRUE_MU:
-        # L_W^T A beta_dev = sqrt(sigma2/kappa) U diag(s) V^T z_beta adds only to c
-        beta_scale = (math.sqrt(sigma2 / kappa) * workspace.s)[:, None]
-        extra_draws = t
-        analytic = float(sigma2)
-        sampling = "prior-draw"
+        with np.errstate(over="ignore"):  # h = sqrt(1 + s^2/kappa); sigma2/kappa is never formed
+            spread = np.hypot(1.0, workspace.s / math.sqrt(kappa))
+        perp, coef, analytic, sampling = 0.0, 0.0 * coef, float(sigma2), "prior-draw"
     else:
-        # mu = 0, so the residual is ybar + eps; whitened, L_W^T ybar + sqrt(sigma2) z
-        offset = workspace.w.mul_lower(ground_truth.y_bar, trans=True)
-        extra_draws = 0
-        signal, noise = _sigma2_terms(ops, ground_truth, sigma2)
-        analytic = signal + noise
-        sampling = "fixed-truth"
-
-    chunk = _BLOCK * max(1, _CHUNK_BYTES // (8 * _BLOCK * (n + extra_draws)))
-    noise_rows = np.empty((min(chunk, replicates), n))
-    extra_rows = np.empty((len(noise_rows), extra_draws))
+        spread, sampling = 1.0, "fixed-truth"
+        analytic = sum(_sigma2_terms(ops, perp, coef, sigma2))
+    complement = float(n > t)  # g_0 lies on the axis of o_perp; n = t leaves no such axis
+    shift = np.append(np.sqrt(ops.damping) * coef, complement * math.sqrt(perp))
+    spread = np.append(np.sqrt(ops.damping) * spread, complement)
+    exponent = math.frexp(max(math.sqrt(sigma2), float(np.max(np.abs(shift)))))[1]
+    shift = np.ldexp(shift, -exponent)
+    spread *= math.ldexp(math.sqrt(sigma2), -exponent)
+    chi2_scale = math.ldexp(sigma2, 1 - 2 * exponent)  # chi2(k) = 2 standard_gamma(k/2)
+    draw_half_chi2 = partial(np.random.Generator.standard_gamma, shape=max(n - t - 1, 0) / 2)
+    chunk = _BLOCK * max(1, _CHUNK_BYTES // (8 * _BLOCK * (t + 1)))
+    rows_buffer = np.empty((min(chunk, replicates), t + 1))
+    gamma_buffer = np.empty(len(rows_buffer))
     estimates = np.empty(replicates)
     for start in range(0, replicates, chunk):
-        z = noise_rows[: replicates - start]
-        _normal_rows(seed, start, z)
-        z *= noise_scale
-        if mu_mode is MuMode.ZERO_MU:
-            z += offset
-        perp, coef = workspace.project_whitened(z.T)
-        if mu_mode is MuMode.TRUE_MU:
-            extra = extra_rows[: len(z)]
-            _normal_rows(seed, start, extra, word=1)
-            coef += beta_scale * (workspace.vt @ extra.T)
-        quad = perp + np.einsum("i,ij,ij->j", ops.damping, coef, coef)
-        estimates[start : start + len(z)] = quad / n
+        rows, gamma = rows_buffer[: replicates - start], gamma_buffer[: replicates - start]
+        _normal_rows(seed, start, rows)
+        _normal_rows(seed, start, gamma, word=1, draw=draw_half_chi2)
+        quad = _sum_squares(rows, shift, spread) + chi2_scale * gamma
+        estimates[start : start + len(rows)] = quad / n
 
-    # moments of estimates / 2^k, 2^k just above the largest: exact, and neither
-    # their sum nor their squares can overflow
-    scale = math.ldexp(1.0, math.frexp(float(np.max(estimates)))[1])
-    estimates /= scale
-    mc_mean = float(np.mean(estimates) * scale)
-    mc_std_error = float(np.std(estimates, ddof=1) * scale / math.sqrt(replicates))
+    moments = np.array([np.mean(estimates), np.std(estimates, ddof=1) / math.sqrt(replicates)])
+    with np.errstate(over="ignore"):
+        mc_mean, mc_std_error = np.ldexp(moments, 2 * exponent).tolist()
+    if not np.isfinite([analytic, mc_mean, mc_std_error]).all():
+        raise DomainError(f"the mean of the estimate at sigma2 = {sigma2!r} is not representable")
     return BiasReport(
         analytic_expectation=analytic,
         mc_mean=mc_mean,

@@ -49,9 +49,8 @@ projects an n x R residual block once; K kappas for all R columns are
 then one (K x t) by (t x R) product. Its einsum reductions run along
 contiguous rows, so a column rounds as it would alone and a Monte Carlo
 replicate equals its single selection bit for bit. MarginalOperators
-and the sigma2 Monte Carlo study (bias.mc_sigma2_study, which hands
-already whitened blocks to project_whitened) use the faster BLAS
-projection instead, whose rounding may depend on the block.
+uses the faster BLAS projection instead, whose rounding may depend on
+the block.
 
 All objectives drop the constant -(n/2) ln(2 pi) normalization term; the
 full log density is available from log_marginal_density.
@@ -224,12 +223,9 @@ class MarginalWorkspace:
         """(|z - U c|^2, c) for an already whitened z = L_W^T r; z, a vector
         or a matrix of columns, is overwritten with z - U c."""
         coef = self.u.T @ z
+        z -= self.u @ coef
         if z.ndim == 1:
-            z -= self.u @ coef
             return float(z @ z), coef
-        # U c formed as (c^T U^T)^T: for a Fortran-ordered block, such as the
-        # transposed rows of a Monte Carlo chunk, it then shares z's layout
-        z -= (coef.T @ self.u.T).T
         return np.einsum("ij,ij->j", z, z), coef
 
     def project_rows(self, rows):

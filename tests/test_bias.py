@@ -225,27 +225,48 @@ def _philox_block(seed, b, word, width):
     return np.random.Generator(philox).standard_normal((256, width))
 
 
+def _chi2_block(seed, b, df):
+    """Block b of the sigma2 study's chi2(df) stream, word 1."""
+    philox = np.random.Philox(key=seed, counter=[0, b, 1, 0])
+    return 2.0 * np.random.Generator(philox).standard_gamma(df / 2, 256)
+
+
 def _dense_sigma2_reference(design, truth, w, w_beta, sigma2, kappa, replicates, seed, mu_mode):
-    """(mc_mean, mc_std_error) by redrawing each replicate's row of its block,
-    coloring with explicit Cholesky factors and solving with E."""
+    """(mc_mean, mc_std_error) by redrawing each replicate's row of its blocks,
+    building its whitened residual z = U c + a complement part from them, and
+    solving with an explicit E for r = L_W^-T z."""
     a, n, t = design.a_matrix, design.n, design.t
-    l_w, l_b = np.linalg.cholesky(w), np.linalg.cholesky(w_beta)
+    workspace = ar.MarginalWorkspace(design.with_observations(np.zeros(n)), w_beta)
+    u, s = workspace.u, workspace.s
+    l_w = np.linalg.cholesky(w)
     e = np.linalg.inv(w) + a @ np.linalg.inv(w_beta) @ a.T / kappa
+    complement = np.linalg.svd(u, full_matrices=True)[0][:, t:]
+    sigma = math.sqrt(sigma2)
+    if mu_mode == "true":
+        offset, spread = np.zeros(t), sigma * np.sqrt(1.0 + s * s / kappa)
+        perp_offset, axis, other = 0.0, complement[:, 0], complement[:, 1]
+    else:
+        o = l_w.T @ truth.y_bar
+        offset, spread = u.T @ o, np.full(t, sigma)
+        perp = o - u @ offset
+        perp_offset = np.linalg.norm(perp)
+        axis = perp / perp_offset
+        other = complement[:, 0] - axis * (axis @ complement[:, 0])
+        other /= np.linalg.norm(other)
     estimates = []
     for r in range(replicates):
         b, row = divmod(r, 256)
-        eps = math.sqrt(sigma2) * la.solve_triangular(l_w.T, _philox_block(seed, b, 0, n)[row])
-        if mu_mode == "true":
-            z_beta = _philox_block(seed, b, 1, t)[row]
-            residual = a @ (math.sqrt(sigma2 / kappa) * la.solve_triangular(l_b.T, z_beta)) + eps
-        else:
-            residual = truth.y_bar + eps
+        g = _philox_block(seed, b, 0, t + 1)[row]
+        chi2 = _chi2_block(seed, b, n - t - 1)[row]
+        z = u @ (offset + spread * g[:t])
+        z += (perp_offset + sigma * g[t]) * axis + sigma * math.sqrt(chi2) * other
+        residual = la.solve_triangular(l_w.T, z)
         estimates.append(residual @ np.linalg.solve(e, residual) / n)
     return np.mean(estimates), np.std(estimates, ddof=1) / math.sqrt(replicates)
 
 
 class TestSigma2StudyChunks:
-    """The chunked, whitened study against a dense per-replicate reference."""
+    """The chunked study against a dense per-replicate reference."""
 
     @pytest.mark.parametrize("mu_mode", ["zero", "true"])
     def test_matches_dense_reference_across_chunks(self, monkeypatch, mu_mode):
@@ -253,13 +274,15 @@ class TestSigma2StudyChunks:
         n, t = 11, 4
         w, w_beta = random_spd(rng, n), random_spd(rng, t)
         design = ar.ProblemDesign(rng.standard_normal((n, t)), w)
-        truth = ar.GroundTruth.from_design(design, rng.standard_normal(t))
+        # a ybar outside range(A) gives o_perp a length to shift g_0 by
+        beta = rng.standard_normal(t)
+        truth = ar.GroundTruth(beta, design.a_matrix @ beta + 0.3 * rng.standard_normal(n))
         prior = ar.default_prior(t, mu=truth.beta_bar, w_beta=w_beta)
         sigma2, kappa, replicates, seed = 0.3, 2.0, 600, 9
         args = (design, truth, prior, sigma2, kappa, replicates, seed, mu_mode)
         default = ar.mc_sigma2_study(*args)
-        # one block per chunk in both modes: 256, 256 and a partial 88 replicates
-        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 8 * 256 * n)
+        # the floor of one block per chunk: 256, 256 and a partial 88 replicates
+        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 1)
         report = ar.mc_sigma2_study(*args)
         mean, std_error = _dense_sigma2_reference(
             design, truth, w, w_beta, sigma2, kappa, replicates, seed, mu_mode
@@ -285,6 +308,14 @@ class TestSigma2StudyChunks:
             # a chunk that starts at block 2 draws what the whole run drew there
             ar.bias._normal_rows(seed, 512, tail, word)
             assert np.array_equal(tail, out[512:])
+        # the chi-square stream, one value per replicate
+        chi2 = np.empty(rows)
+        ar.bias._normal_rows(
+            seed, 0, chi2, word=1, draw=lambda rng, out: rng.standard_gamma(n / 2, out=out)
+        )
+        for b in range(3):
+            drawn = 2.0 * chi2[256 * b : 256 * (b + 1)]
+            assert np.array_equal(drawn, _chi2_block(seed, b, n)[: len(drawn)])
 
     @pytest.mark.parametrize("mu_mode", ["zero", "true"])
     def test_peak_memory_below_one_block(self, mu_mode):
@@ -304,17 +335,16 @@ class TestSigma2StudyChunks:
 
     def test_no_thread_starts_during_a_study(self, monkeypatch):
         design, _, prior, truth = tiny_fixture()
-        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 8 * 256 * design.n)
+        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 1)
         before = set(threading.enumerate())
         during = []
-        project = ar.MarginalWorkspace.project_whitened
+        reduce = ar.bias._sum_squares
 
-        def spy_project(workspace, z):
-            if z.ndim == 2:  # a chunk; the analytic terms project one vector
-                during.append(set(threading.enumerate()))
-            return project(workspace, z)
+        def spy_reduce(*args):
+            during.append(set(threading.enumerate()))
+            return reduce(*args)
 
-        monkeypatch.setattr(ar.MarginalWorkspace, "project_whitened", spy_project)
+        monkeypatch.setattr(ar.bias, "_sum_squares", spy_reduce)
         ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=600, seed=2)
         assert len(during) == 3  # 600 replicates in chunks of one block
         assert all(threads == before for threads in during)
@@ -322,7 +352,7 @@ class TestSigma2StudyChunks:
     @pytest.mark.parametrize("stage", ["draw", "reduction"])
     def test_errors_propagate_unchanged(self, monkeypatch, stage):
         design, _, prior, truth = tiny_fixture()
-        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 8 * 256 * design.n)
+        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 1)
         if stage == "draw":
             error, fill = MemoryError("draw failed"), ar.bias._normal_rows
 
@@ -334,17 +364,92 @@ class TestSigma2StudyChunks:
             monkeypatch.setattr(ar.bias, "_normal_rows", spy_fill)
         else:
             error = FloatingPointError("reduction failed")
-            project = ar.MarginalWorkspace.project_whitened
 
-            def spy_project(workspace, z):
-                if z.ndim == 2:
-                    raise error
-                return project(workspace, z)
+            def spy_reduce(*args):
+                raise error
 
-            monkeypatch.setattr(ar.MarginalWorkspace, "project_whitened", spy_project)
+            monkeypatch.setattr(ar.bias, "_sum_squares", spy_reduce)
         with pytest.raises(type(error)) as raised:
             ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=600, seed=2)
         assert raised.value is error
+
+
+def _n_dim_sigma2_study(design, truth, prior, sigma2, kappa, replicates, seed, mu_mode):
+    """Estimates of the sigma2 study as it once sampled them: n whitened noise
+    normals per replicate, plus t prior normals in TrueMu mode, projected onto U."""
+    n, t = design.n, design.t
+    workspace = ar.MarginalWorkspace(design.with_observations(np.zeros(n)), prior.w_beta)
+    z = np.empty((replicates, n))
+    ar.bias._normal_rows(seed, 0, z)
+    z *= math.sqrt(sigma2)
+    if mu_mode == "zero":
+        z += workspace.w.mul_lower(truth.y_bar, trans=True)
+    perp, coef = workspace.project_whitened(z.T)
+    if mu_mode == "true":
+        # L_W^T A beta_dev = sqrt(sigma2/kappa) U diag(s) V^T z_beta
+        prior_normals = np.empty((replicates, t))
+        ar.bias._normal_rows(seed, 0, prior_normals, word=1)
+        coef += math.sqrt(sigma2 / kappa) * workspace.s[:, None] * (workspace.vt @ prior_normals.T)
+    damping = workspace.operators(kappa).damping
+    return (perp + np.einsum("i,ij,ij->j", damping, coef, coef)) / n
+
+
+def _oracle_fixture(kind):
+    """(design, truth, prior, sigma2, kappa) with n = t, n - t = 1, or a dense W."""
+    if kind == "phillips16":
+        design, exact = ar.phillips_problem(16)
+        truth = ar.GroundTruth.from_design(design, exact)
+        return design, truth, ar.default_prior(16, mu=exact), 1e-3, 1e-2
+    rng = np.random.default_rng(49)
+    n, t = (7, 6) if kind == "n-minus-t-1" else (12, 4)
+    design = random_design(rng, n, t, identity_w=kind == "n-minus-t-1")
+    beta = rng.standard_normal(t)
+    # part of ybar outside range(A), so that o_perp is not zero
+    truth = ar.GroundTruth(beta, design.a_matrix @ beta + 0.2 * rng.standard_normal(n))
+    return design, truth, random_prior(rng, t), 0.05, 0.5
+
+
+class TestSigma2Oracle:
+    """The t + 1 draws per replicate against the n-dimensional simulation."""
+
+    @pytest.mark.parametrize("mu_mode", ["zero", "true"])
+    @pytest.mark.parametrize("kind", ["phillips16", "n-minus-t-1", "dense-w"])
+    def test_samplers_agree(self, kind, mu_mode):
+        design, truth, prior, sigma2, kappa = _oracle_fixture(kind)
+        replicates = 20000
+        report = ar.mc_sigma2_study(design, truth, prior, sigma2, kappa, replicates, 5, mu_mode)
+        # another seed, so the two samplers' draws are independent
+        estimates = _n_dim_sigma2_study(design, truth, prior, sigma2, kappa, replicates, 6, mu_mode)
+        mean, std_error = np.mean(estimates), np.std(estimates, ddof=1) / math.sqrt(replicates)
+        assert abs(report.mc_mean - mean) < 4.0 * math.hypot(report.mc_std_error, std_error)
+        # the sample standard deviation has relative standard error sqrt((kurtosis - 1) / 4R)
+        centered = estimates - mean
+        kurtosis = np.mean(centered**4) / np.mean(centered**2) ** 2
+        spread = math.sqrt((kurtosis - 1.0) / (4.0 * replicates))
+        assert abs(report.mc_std_error / std_error - 1.0) < 4.0 * math.sqrt(2.0) * spread
+
+    @pytest.mark.parametrize("mu_mode", ["zero", "true"])
+    def test_standard_error_matches_quadratic_form_variance(self, mu_mode):
+        # Var of a Gaussian quadratic form (Mathai and Provost, 1992): with o_c = U^T o
+        # and o_perp = o - U o_c, ZeroMu has Var(quad) = 2 sigma^4 [(n - t) + sum d^2]
+        # + 4 sigma^2 [|o_perp|^2 + sum d^2 o_c^2], and TrueMu 2 n sigma^4
+        n, t, replicates, sigma2, kappa = 400, 100, 30000, 1e-6, 1e-4
+        design, exact = ar.spectrum_problem(n, t, decay=6.0, seed=1)
+        truth = ar.GroundTruth.from_design(design, exact)
+        prior = ar.default_prior(t, mu=exact)
+        report = ar.mc_sigma2_study(design, truth, prior, sigma2, kappa, replicates, 7, mu_mode)
+        if mu_mode == "true":
+            variance = 2.0 * n * sigma2**2
+        else:
+            u, s, _ = np.linalg.svd(design.a_matrix, full_matrices=False)  # W = W_beta = I
+            damping = kappa / (s * s + kappa)
+            o_c = u.T @ truth.y_bar
+            o_perp = truth.y_bar - u @ o_c
+            variance = 2.0 * sigma2**2 * ((n - t) + np.sum(damping**2)) + 4.0 * sigma2 * (
+                o_perp @ o_perp + np.sum(damping**2 * o_c**2)
+            )
+        analytic = math.sqrt(variance) / n / math.sqrt(replicates)
+        assert report.mc_std_error / analytic == pytest.approx(1.0, abs=0.03)
 
 
 class TestMcKappaStudy:

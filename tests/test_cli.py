@@ -1,5 +1,6 @@
 import json
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +329,31 @@ class TestDeterminism:
         ).read_bytes()
 
 
+class TestBlasThreads:
+    def test_sigma2_study_byte_identical_at_one_and_two_threads(self, tmp_path):
+        # the workspace SVD of this input rounds alike at both thread counts, so
+        # nothing else in the study may depend on the thread count
+        proc = run_cli(
+            "generate", "--kind", "spectrum", "--n", "400", "--t", "100", "--decay", "6",
+            "--sigma2", "1e-6", "--seed", "9", "--out", "gen", cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for mode in ("zero", "true"):
+            results = []
+            for threads in ("1", "2"):
+                cmd, env = cli_invocation(
+                    "bias-study", "--study", "sigma2", "--problem", "gen/problem.json",
+                    "--truth", "gen/truth.json", "--sigma2", "1e-6", "--kappa", "1e-4",
+                    "--replicates", "30000", "--seed", "1", "--mu-mode", mode,
+                    "--out", f"{mode}{threads}",
+                )
+                env["OPENBLAS_NUM_THREADS"] = threads
+                proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True)
+                assert proc.returncode == 0, proc.stderr
+                results.append((tmp_path / f"{mode}{threads}" / "result.json").read_bytes())
+            assert results[0] == results[1], mode
+
+
 class TestTopLevel:
     def test_version_flag(self, tmp_path):
         proc = run_cli("--version", cwd=tmp_path)
@@ -390,6 +416,30 @@ FUZZ_CASES = [
         f"{BIAS_GEN} --study sigma2 --sigma2 1e306 --kappa 1 --replicates 1000",
         0,
     ),
+    # quad overflowed before the division by n, and in true mode sigma2/kappa or s^2/kappa
+    fuzz("bias-sigma2-max", f"{BIAS_GEN} --study sigma2 --sigma2 1e308 --kappa 1", 0),
+    fuzz(
+        "bias-sigma-beta2-overflow",
+        f"{BIAS_GEN} --study sigma2 --sigma2 1e300 --kappa 1e-300 --mu-mode true",
+        0,
+    ),
+    fuzz(
+        "bias-kappa-subnormal",
+        f"{BIAS} --study sigma2 --kind spectrum --n 8 --t 4 --sigma2 1 --kappa 1e-320 --mu-mode true",
+        0,
+    ),
+    # condition_estimate's RankDeficiencyWarning; the estimate itself reports the deficiency
+    fuzz(
+        "generate-rank-deficient",
+        "generate --kind spectrum --n 8 --t 4 --decay 400 --sigma2 1 --out {out}",
+        0,
+    ),
+    # a mean of about 1.01 sigma2 exceeds the largest float
+    fuzz(
+        "bias-sigma2-mean-overflow",
+        f"{BIAS_GEN} --study sigma2 --sigma2 1.79e308 --kappa 1 --mu-mode true --seed 1",
+        2,
+    ),
     fuzz("kappa-inf", f"{SOLVE} regularized --kappa inf", 2),
     fuzz("kappa-nan", f"{SOLVE} regularized --kappa nan", 2),
     fuzz("kappa-text", f"{SOLVE} regularized --kappa abc", 2),
@@ -451,8 +501,12 @@ class TestInProcessFuzz:
             else:
                 paths[key].write_text(content)
         argv = [arg.format(out=tmp_path / "out", **paths) for arg in argv.split()]
-        exit_code = cli.main(argv)
+        with warnings.catch_warnings(record=True) as caught:
+            # outside pytest, each of these would print its text to stderr
+            warnings.simplefilter("always")
+            exit_code = cli.main(argv)
         stderr = capsys.readouterr().err
+        assert not caught, [str(warning.message) for warning in caught]
         assert "Traceback" not in stderr
         assert exit_code in {0, 2, 3, 4}
         assert exit_code == code, stderr
