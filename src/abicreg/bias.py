@@ -32,9 +32,13 @@ o_perp turned onto one axis of the complement of range(U),
 |z - U c|^2 = (|o_perp| + sigma g_0)^2 + sigma2 chi2(n - t - 1). A
 TrueMu prior draw, sqrt(sigma2/kappa) U diag(s) V^T z_beta, adds only to
 c: c = sigma h g with h = sqrt(1 + s^2/kappa) and o = 0, so d h^2 = 1
-makes quad/sigma2 ~ chi2(n) and a wrong damping shows. One loop reduces
-chunks of about 8 MB of rows without BLAS, in units of the power of four
-just above max(sigma2, |o|^2), where no term overflows.
+makes quad/sigma2 ~ chi2(n) and a wrong damping shows. Chunks of whole
+blocks are drawn and reduced without BLAS, in units of the power of four
+just above max(sigma2, |o|^2), where no term overflows, by one thread per
+CPU: worker k takes chunks k, k + w, ... into its own buffers (about 8 MB
+of rows for all w together), and the calling thread is worker 0. A
+replicate's estimate depends on its own row alone, and the moments are
+taken once every worker has joined, so the worker count changes no bit.
 
 Randomness comes from counter-based streams (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC11): numpy's Philox
@@ -55,6 +59,8 @@ chunking changes no result.
 import enum
 import math
 import operator
+import os
+import threading
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -202,8 +208,67 @@ def _sum_squares(rows, shift, spread):
     return np.einsum("ij,ij->i", rows, rows)
 
 
-# Replicates are drawn and reduced in chunks of whole blocks, about this many bytes of normals
+# Replicates are drawn and reduced in chunks of whole blocks; the buffers of all
+# workers together hold about this many bytes of normals
 _CHUNK_BYTES = 8 * 2**20
+
+
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_workers(step, jobs, workers):
+    """step(k, job) for every job, on ``workers`` threads: worker k takes jobs
+    k, k + workers, ..., and worker 0 is the calling thread.
+
+    Every thread is joined before this returns or raises. An error stops
+    each worker before its next job, and the error of the lowest-numbered
+    worker that failed is raised unchanged on the calling thread.
+    """
+    errors = [None] * workers
+
+    def run(worker):
+        try:
+            for job in jobs[worker::workers]:
+                if any(error is not None for error in errors):
+                    return
+                step(worker, job)
+        except BaseException as exc:  # raised again on the calling thread, below
+            errors[worker] = exc
+
+    threads = []
+    try:
+        for worker in range(1, workers):
+            thread = threading.Thread(target=run, args=(worker,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def _true_mu_spread(workspace, damping, kappa):
+    """sqrt(d) h with h = sqrt(1 + s^2/kappa), the TrueMu spread of c in units
+    of sigma; sigma2/kappa is never formed.
+
+    d h^2 = 1 in exact arithmetic. Where s^2/kappa overflows, d underflows
+    while h may overflow, so there the product is formed as the one factor
+    sqrt(d + s^2/(s^2 + kappa)), whose terms lie in [0, 1].
+    """
+    s, s2 = workspace.s, workspace.s2
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.sqrt(damping) * np.hypot(1.0, s / math.sqrt(kappa))
+        huge = np.isinf(s2 / kappa)
+    # kappa/s^2 is below 1/DBL_MAX here; s^2/(s^2 + kappa) in this form is 1, not nan, at s^2 = inf
+    spread[huge] = np.sqrt(damping[huge] + 1.0 / (1.0 + kappa / s2[huge]))
+    return spread
 
 
 def mc_sigma2_study(
@@ -228,31 +293,41 @@ def mc_sigma2_study(
     n, t = design.n, design.t
     workspace, ops, perp, coef = _truth_frame(design, ground_truth, prior.w_beta, kappa)
     if mu_mode is MuMode.TRUE_MU:
-        with np.errstate(over="ignore"):  # h = sqrt(1 + s^2/kappa); sigma2/kappa is never formed
-            spread = np.hypot(1.0, workspace.s / math.sqrt(kappa))
+        spread = _true_mu_spread(workspace, ops.damping, kappa)
         perp, coef, analytic, sampling = 0.0, 0.0 * coef, float(sigma2), "prior-draw"
     else:
-        spread, sampling = 1.0, "fixed-truth"
+        spread, sampling = np.sqrt(ops.damping), "fixed-truth"
         analytic = sum(_sigma2_terms(ops, perp, coef, sigma2))
     complement = float(n > t)  # g_0 lies on the axis of o_perp; n = t leaves no such axis
     shift = np.append(np.sqrt(ops.damping) * coef, complement * math.sqrt(perp))
-    spread = np.append(np.sqrt(ops.damping) * spread, complement)
+    spread = np.append(spread, complement)
     exponent = math.frexp(max(math.sqrt(sigma2), float(np.max(np.abs(shift)))))[1]
     shift = np.ldexp(shift, -exponent)
     spread *= math.ldexp(math.sqrt(sigma2), -exponent)
     chi2_scale = math.ldexp(sigma2, 1 - 2 * exponent)  # chi2(k) = 2 standard_gamma(k/2)
     draw_half_chi2 = partial(np.random.Generator.standard_gamma, shape=max(n - t - 1, 0) / 2)
-    chunk = _BLOCK * max(1, _CHUNK_BYTES // (8 * _BLOCK * (t + 1)))
-    rows_buffer = np.empty((min(chunk, replicates), t + 1))
-    gamma_buffer = np.empty(len(rows_buffer))
+
+    blocks = -(-replicates // _BLOCK)
+    workers = min(_cpu_count(), blocks)
+    # the workers' buffers share _CHUNK_BYTES, and every worker gets a chunk
+    chunk_blocks = min(_CHUNK_BYTES // (workers * 8 * _BLOCK * (t + 1)), blocks // workers)
+    chunk = _BLOCK * max(1, chunk_blocks)
+    # worker k's first chunk, which starts at k * chunk, is its longest
+    buffers = [
+        (np.empty((size, t + 1)), np.empty(size))
+        for size in (min(chunk, replicates - k * chunk) for k in range(workers))
+    ]
     estimates = np.empty(replicates)
-    for start in range(0, replicates, chunk):
+
+    def draw_chunk(worker, start):
+        rows_buffer, gamma_buffer = buffers[worker]
         rows, gamma = rows_buffer[: replicates - start], gamma_buffer[: replicates - start]
         _normal_rows(seed, start, rows)
         _normal_rows(seed, start, gamma, word=1, draw=draw_half_chi2)
         quad = _sum_squares(rows, shift, spread) + chi2_scale * gamma
         estimates[start : start + len(rows)] = quad / n
 
+    _run_workers(draw_chunk, range(0, replicates, chunk), workers)
     moments = np.array([np.mean(estimates), np.std(estimates, ddof=1) / math.sqrt(replicates)])
     with np.errstate(over="ignore"):
         mc_mean, mc_std_error = np.ldexp(moments, 2 * exponent).tolist()

@@ -3,12 +3,15 @@
 Every run writes a ``config.json`` with the fully resolved settings and
 a ``result.json`` wrapping the computed result, both stamped with the
 package version and written as compact JSON with shortest round-trip
-floats. Runs are byte-identical for the same numpy build and BLAS thread
-count; the sigma2 study is also byte-identical across thread counts
-wherever the workspace SVD is. Errors leave a single JSON object on
-stderr and a category exit code: 2 for configuration or input problems,
-3 for numerical failures, 4 for I/O. A request too large for memory is a
-configuration error.
+floats. Runs are byte-identical for the same numpy build. main runs
+numpy's bundled OpenBLAS on one thread and leaves it so
+(_linalg.pin_one_blas_thread), so wherever that library is found no
+output depends on OPENBLAS_NUM_THREADS; elsewhere outputs are
+byte-identical at a fixed BLAS thread count. The sigma2 study draws on
+one thread per CPU, and its worker count never changes its bytes. Errors
+leave a single JSON object on stderr and a category exit code: 2 for
+configuration or input problems, 3 for numerical failures, 4 for I/O. A
+request too large for memory is a configuration error.
 """
 
 import argparse
@@ -21,6 +24,7 @@ import warnings
 import numpy as np
 
 from . import __version__, serialize
+from ._linalg import pin_one_blas_thread
 from .bias import check_seed, mc_kappa_study, mc_sigma2_study
 from .errors import (
     DegenerateProblemError,
@@ -409,6 +413,10 @@ def build_parser():
 
 
 def main(argv=None):
+    # not restored on return: a version that restored the old count raised the
+    # peak RSS of the select benchmark, which calls main in one process, from
+    # 93 MB to 96-101 MB (2 CPUs)
+    pin_one_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

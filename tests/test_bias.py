@@ -1,5 +1,7 @@
 import math
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -211,6 +213,36 @@ class TestMcSigma2Study:
         assert huge.mc_std_error / 1e155 == pytest.approx(large.mc_std_error / 1e100, rel=1e-9)
         assert huge.mc_mean / 1e155 == pytest.approx(large.mc_mean / 1e100, rel=1e-9)
 
+    def test_true_mu_where_s2_over_kappa_overflows(self):
+        # W_beta = 1e-300 I puts s^2 between 1e296 and 1e300; s^2/kappa overflows at both
+        # kappas, where d used to underflow to 0 (a mean near 0.5) or meet an infinite h (nan)
+        design, exact = ar.spectrum_problem(8, 4, 2.0, seed=1)
+        truth = ar.GroundTruth.from_design(design, exact)
+        prior = ar.default_prior(4, mu=exact, w_beta=1e-300 * np.eye(4))
+        reports = [
+            ar.mc_sigma2_study(design, truth, prior, 1.0, kappa, 4000, seed=1, mu_mode="true")
+            for kappa in (1e-307, 1e-320)
+        ]
+        for report in reports:
+            assert report.analytic_expectation == 1.0
+            assert abs(report.mc_mean - 1.0) < 4.0 * report.mc_std_error
+        # sqrt(d) h is 1 in every direction at both kappas, so the estimates are the same
+        assert reports[0].mc_mean == reports[1].mc_mean
+        assert reports[0].mc_std_error == reports[1].mc_std_error
+
+    def test_true_mu_spread_is_unchanged_where_s2_over_kappa_is_finite(self):
+        design, _ = ar.spectrum_problem(8, 4, 2.0, seed=1)
+        workspace = ar.MarginalWorkspace(design.with_observations(np.zeros(8)), 1e-300 * np.eye(4))
+        kappa = 1e-10  # s^2/kappa overflows in the first two directions only
+        damping = workspace.operators(kappa).damping
+        spread = ar.bias._true_mu_spread(workspace, damping, kappa)
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(workspace.s2 / kappa)
+        assert finite.tolist() == [False, False, True, True]
+        hypot = np.hypot(1.0, workspace.s[finite] / math.sqrt(kappa))
+        assert np.array_equal(spread[finite], np.sqrt(damping[finite]) * hypot)
+        assert np.array_equal(spread[~finite], [1.0, 1.0])
+
     def test_json_payload(self):
         design, _, prior, truth = tiny_fixture()
         doc = ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=150, seed=1).to_json()
@@ -333,21 +365,77 @@ class TestSigma2StudyChunks:
         # held four or five of them
         assert peak < n * replicates * 8, f"peak traced memory {peak / 2**20:.1f} MiB"
 
-    def test_no_thread_starts_during_a_study(self, monkeypatch):
-        design, _, prior, truth = tiny_fixture()
-        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 1)
-        before = set(threading.enumerate())
-        during = []
-        reduce = ar.bias._sum_squares
+    @pytest.mark.parametrize("chunk_bytes", [None, 1])
+    @pytest.mark.parametrize("shape", [(11, 4), (4, 4)], ids=["n>t", "n=t"])
+    @pytest.mark.parametrize("mu_mode", ["zero", "true"])
+    def test_worker_count_changes_no_bit(self, monkeypatch, mu_mode, shape, chunk_bytes):
+        rng = np.random.default_rng(50)
+        design = random_design(rng, *shape)
+        beta = rng.standard_normal(shape[1])
+        truth = ar.GroundTruth(beta, design.a_matrix @ beta + 0.3 * rng.standard_normal(shape[0]))
+        prior = random_prior(rng, shape[1])
+        if chunk_bytes is not None:
+            monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", chunk_bytes)
+        workers_seen, reduce = set(), ar.bias._sum_squares
 
         def spy_reduce(*args):
-            during.append(set(threading.enumerate()))
+            workers_seen.add(threading.current_thread())
             return reduce(*args)
 
         monkeypatch.setattr(ar.bias, "_sum_squares", spy_reduce)
-        ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=600, seed=2)
-        assert len(during) == 3  # 600 replicates in chunks of one block
-        assert all(threads == before for threads in during)
+        before = set(threading.enumerate())
+        reports = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches, so that a lost write would show
+        try:
+            # 1000 replicates: three full blocks and a partial one of 232
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(ar.bias, "_cpu_count", lambda: workers)
+                workers_seen.clear()
+                reports[workers] = ar.mc_sigma2_study(design, truth, prior, 0.3, 2.0, 1000, 4, mu_mode)
+                assert len(workers_seen) == workers
+                assert threading.current_thread() in workers_seen
+                assert not any(thread.is_alive() for thread in workers_seen - before)
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(threading.enumerate()) == before
+        assert reports[1] == reports[2] == reports[3]
+
+    @pytest.mark.parametrize("failing", [(0,), (1,), (2,), (1, 2)])
+    def test_threads_joined_when_a_worker_raises(self, monkeypatch, failing):
+        # 1000 replicates in chunks of one block on three workers: worker 0 takes
+        # chunks 0 and 3 (starts 0 and 768), workers 1 and 2 one chunk each
+        design, _, prior, truth = tiny_fixture()
+        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(ar.bias, "_cpu_count", lambda: 3)
+        errors = {worker: MemoryError(f"worker {worker} failed") for worker in failing}
+        fill, starts, workers_seen, failed = ar.bias._normal_rows, [], set(), []
+        all_failing = threading.Barrier(len(failing))
+
+        def spy_fill(seed, start, out, *args, **kwargs):
+            starts.append(start)
+            workers_seen.add(threading.current_thread())
+            if start // 256 in errors:  # a failing worker's first chunk
+                failed.append(threading.current_thread())
+                all_failing.wait(timeout=10.0)  # so that none stops before it fails
+                raise errors[start // 256]
+            if start == 0:
+                # worker 0 lets the failing workers finish, so it must see their errors
+                deadline = time.monotonic() + 10.0
+                while len(failed) < len(failing) or any(t.is_alive() for t in failed):
+                    assert time.monotonic() < deadline, "a failing worker did not finish"
+                    time.sleep(1e-3)
+            fill(seed, start, out, *args, **kwargs)
+
+        monkeypatch.setattr(ar.bias, "_normal_rows", spy_fill)
+        before = set(threading.enumerate())
+        with pytest.raises(MemoryError) as raised:
+            ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=1000, seed=2)
+        assert raised.value is errors[min(failing)]
+        if 0 not in failing:
+            assert 768 not in starts  # worker 0 stopped before its second chunk
+        assert not any(thread.is_alive() for thread in workers_seen - before)
+        assert set(threading.enumerate()) == before
 
     @pytest.mark.parametrize("stage", ["draw", "reduction"])
     def test_errors_propagate_unchanged(self, monkeypatch, stage):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import abicreg as ar
-from abicreg import cli
+from abicreg import _linalg, cli
 from conftest import cli_invocation
 
 
@@ -329,6 +329,21 @@ class TestDeterminism:
         ).read_bytes()
 
 
+BUNDLED_OPENBLAS = _linalg.bundled_openblas()
+needs_bundled_openblas = pytest.mark.skipif(
+    BUNDLED_OPENBLAS is None, reason="numpy's bundled OpenBLAS is not found; the CLI cannot pin it"
+)
+
+
+@pytest.fixture(scope="module")
+def spectrum_2000x200(tmp_path_factory):
+    """A problem file large enough that its SVD rounds differently on two BLAS threads."""
+    root = tmp_path_factory.mktemp("spectrum2000")
+    argv = ["generate", "--kind", "spectrum", "--n", "2000", "--t", "200", "--decay", "6"]
+    assert cli.main([*argv, "--sigma2", "1e-6", "--seed", "3", "--out", str(root / "gen")]) == 0
+    return root / "gen" / "problem.json"
+
+
 class TestBlasThreads:
     def test_sigma2_study_byte_identical_at_one_and_two_threads(self, tmp_path):
         # the workspace SVD of this input rounds alike at both thread counts, so
@@ -352,6 +367,42 @@ class TestBlasThreads:
                 assert proc.returncode == 0, proc.stderr
                 results.append((tmp_path / f"{mode}{threads}" / "result.json").read_bytes())
             assert results[0] == results[1], mode
+
+    @needs_bundled_openblas
+    @pytest.mark.parametrize(
+        "argv, outputs",
+        [
+            ("select-kappa --case 1", ["result.json"]),
+            ("select-kappa --case 2", ["result.json"]),
+            ("sweep", ["result.json", "sweep.csv"]),
+        ],
+    )
+    def test_outputs_independent_of_openblas_num_threads(
+        self, spectrum_2000x200, tmp_path, argv, outputs
+    ):
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            cmd, env = cli_invocation(*argv.split(), "--problem", spectrum_2000x200, "--out", out)
+            env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            written.append([(out / name).read_bytes() for name in outputs])
+        assert written[0] == written[1]
+
+    @needs_bundled_openblas
+    def test_main_leaves_one_blas_thread(self, tmp_path):
+        set_threads = BUNDLED_OPENBLAS.scipy_openblas_set_num_threads64_
+        get_threads = BUNDLED_OPENBLAS.scipy_openblas_get_num_threads64_
+        before = get_threads()
+        try:
+            set_threads(2)
+            assert get_threads() == 2
+            argv = ["generate", "--kind", "phillips", "--n", "8", "--out", str(tmp_path)]
+            assert cli.main(argv) == 0
+            assert get_threads() == 1
+        finally:
+            set_threads(before)
 
 
 class TestTopLevel:
@@ -422,6 +473,13 @@ FUZZ_CASES = [
         "bias-sigma-beta2-overflow",
         f"{BIAS_GEN} --study sigma2 --sigma2 1e300 --kappa 1e-300 --mu-mode true",
         0,
+    ),
+    # s^2 = 5e300 and kappa 1e-320: s^2/kappa and s/sqrt(kappa) overflow and the damping underflows
+    fuzz(
+        "bias-tiny-w-beta-true",
+        f"{BIAS_FILES} --kappa 1e-320 --mu-mode true",
+        0,
+        {"W_beta": [[1e-300]]},
     ),
     fuzz(
         "bias-kappa-subnormal",
@@ -568,7 +626,7 @@ import json, sys
 from pathlib import Path
 sys.modules["scipy"] = None
 import abicreg
-from abicreg import cli
+from abicreg import _linalg, cli
 loaded = sorted(name for name in sys.modules if name.startswith("scipy") and sys.modules[name])
 assert not loaded, loaded
 gen = ["--kind", "phillips", "--n", "16", "--seed", "3"]
