@@ -32,13 +32,18 @@ o_perp turned onto one axis of the complement of range(U),
 |z - U c|^2 = (|o_perp| + sigma g_0)^2 + sigma2 chi2(n - t - 1). A
 TrueMu prior draw, sqrt(sigma2/kappa) U diag(s) V^T z_beta, adds only to
 c: c = sigma h g with h = sqrt(1 + s^2/kappa) and o = 0, so d h^2 = 1
-makes quad/sigma2 ~ chi2(n) and a wrong damping shows. Chunks of whole
-blocks are drawn and reduced without BLAS, in units of the power of four
-just above max(sigma2, |o|^2), where no term overflows, by one thread per
-CPU: worker k takes chunks k, k + w, ... into its own buffers (about 8 MB
-of rows for all w together), and the calling thread is worker 0. A
-replicate's estimate depends on its own row alone, and the moments are
-taken once every worker has joined, so the worker count changes no bit.
+makes quad/sigma2 ~ chi2(n) and a wrong damping shows. With
+shift = (sqrt(d) o_c, |o_perp|) and spread = (sqrt(d) sigma, sigma) for
+ZeroMu, a replicate keeps only its excess over the noise-free
+|shift|^2, sum (2 shift + spread g) spread g plus the chi-square part,
+so a noise far below |o| keeps its digits; |shift|^2 is added back to
+the mean alone. Chunks of whole blocks are drawn and reduced without
+BLAS, in units of the power of four just above max(sigma2, |o|^2),
+where no term overflows, by one thread per CPU: worker k takes chunks
+k, k + w, ... into its own buffers (about 8 MB of rows for all w
+together), and the calling thread is worker 0. A replicate's estimate
+depends on its own row alone, and the moments are taken once every
+worker has joined, so the worker count changes no bit.
 
 Randomness comes from counter-based streams (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC11): numpy's Philox
@@ -148,21 +153,18 @@ def expected_sigma2_terms(design, ground_truth, sigma2, kappa, w_beta=None):
     Both are nonnegative and the noise term never exceeds sigma2.
     """
     check_positive_finite(sigma2, "sigma2")
-    _, ops, perp, coef = _truth_frame(design, ground_truth, w_beta, kappa)
-    return _sigma2_terms(ops, perp, coef, sigma2)
+    _, ops = _truth_frame(design, w_beta, kappa)
+    return _sigma2_terms(ops, ground_truth.y_bar, sigma2)
 
 
-def _truth_frame(design, ground_truth, w_beta, kappa):
-    """(workspace, its operators at kappa, |o - U c|^2, c) of a zero-observation
-    workspace and o = L_W^T ybar, projected by project_rows: no BLAS product."""
+def _truth_frame(design, w_beta, kappa):
+    """(workspace, its operators at kappa) of a zero-observation workspace."""
     workspace = MarginalWorkspace(design.with_observations(np.zeros(design.n)), w_beta)
-    perp, coef = workspace.project_rows(ground_truth.y_bar[None, :])
-    return workspace, workspace.operators(kappa), float(perp[0]), coef[0]
+    return workspace, workspace.operators(kappa)
 
 
-def _sigma2_terms(ops, perp, coef, sigma2):
-    signal = (perp + float(ops.damping @ (coef * coef))) / ops.n
-    return signal, ops.expected_noise_quad() / ops.n * sigma2
+def _sigma2_terms(ops, y_bar, sigma2):
+    return ops.quad_form(y_bar) / ops.n, ops.expected_noise_quad() / ops.n * sigma2
 
 
 _BLOCK = 256  # replicates per block of the sigma2 study
@@ -201,11 +203,11 @@ def _noise_block(design, sigma2, seed, replicates):
     return _color(design.w, sigma2, z.T)
 
 
-def _sum_squares(rows, shift, spread):
-    """sum_j (shift_j + spread_j rows_ij)^2 for each row i; overwrites rows."""
+def _excess(rows, shift, spread):
+    """sum_j (shift_j + spread_j rows_ij)^2 - shift_j^2 for each row i, summed as
+    (spread_j rows_ij)^2 + 2 shift_j spread_j rows_ij; overwrites rows."""
     rows *= spread
-    rows += shift
-    return np.einsum("ij,ij->i", rows, rows)
+    return np.einsum("ij,ij->i", rows, rows) + np.einsum("ij,j->i", rows, 2.0 * shift)
 
 
 # Replicates are drawn and reduced in chunks of whole blocks; the buffers of all
@@ -291,13 +293,14 @@ def mc_sigma2_study(
         raise DomainError(f"replicates must be at least {MIN_REPLICATES}, got {replicates}")
     check_positive_finite(sigma2, "sigma2")
     n, t = design.n, design.t
-    workspace, ops, perp, coef = _truth_frame(design, ground_truth, prior.w_beta, kappa)
+    workspace, ops = _truth_frame(design, prior.w_beta, kappa)
     if mu_mode is MuMode.TRUE_MU:
         spread = _true_mu_spread(workspace, ops.damping, kappa)
-        perp, coef, analytic, sampling = 0.0, 0.0 * coef, float(sigma2), "prior-draw"
+        perp, coef, analytic, sampling = 0.0, np.zeros(t), float(sigma2), "prior-draw"
     else:
         spread, sampling = np.sqrt(ops.damping), "fixed-truth"
-        analytic = sum(_sigma2_terms(ops, perp, coef, sigma2))
+        analytic = sum(_sigma2_terms(ops, ground_truth.y_bar, sigma2))
+        perp, coef = (part[0] for part in workspace.project_rows(ground_truth.y_bar[None, :]))
     complement = float(n > t)  # g_0 lies on the axis of o_perp; n = t leaves no such axis
     shift = np.append(np.sqrt(ops.damping) * coef, complement * math.sqrt(perp))
     spread = np.append(spread, complement)
@@ -324,11 +327,16 @@ def mc_sigma2_study(
         rows, gamma = rows_buffer[: replicates - start], gamma_buffer[: replicates - start]
         _normal_rows(seed, start, rows)
         _normal_rows(seed, start, gamma, word=1, draw=draw_half_chi2)
-        quad = _sum_squares(rows, shift, spread) + chi2_scale * gamma
-        estimates[start : start + len(rows)] = quad / n
+        excess = _excess(rows, shift, spread) + chi2_scale * gamma
+        estimates[start : start + len(rows)] = excess / n
 
     _run_workers(draw_chunk, range(0, replicates, chunk), workers)
-    moments = np.array([np.mean(estimates), np.std(estimates, ddof=1) / math.sqrt(replicates)])
+    # excesses over the noise-free sum(shift^2) / n, which only the mean adds back; in
+    # units of their largest magnitude, np.std squares no subnormal deviation
+    top = math.frexp(float(np.max(np.abs(estimates))))[1]
+    np.ldexp(estimates, -top, out=estimates)
+    moments = np.ldexp([np.mean(estimates), np.std(estimates, ddof=1) / math.sqrt(replicates)], top)
+    moments[0] += float(shift @ shift) / n
     with np.errstate(over="ignore"):
         mc_mean, mc_std_error = np.ldexp(moments, 2 * exponent).tolist()
     if not np.isfinite([analytic, mc_mean, mc_std_error]).all():

@@ -44,13 +44,13 @@ kappa costs O(t). |z - U c|^2 is the squared norm of the explicit
 difference, never |z|^2 - |c|^2, which cancels catastrophically when r
 lies almost in the range of A.
 
-One workspace serves every residual of a design. MarginalObjective
-projects an n x R residual block once; K kappas for all R columns are
-then one (K x t) by (t x R) product. Its einsum reductions run along
-contiguous rows, so a column rounds as it would alone and a Monte Carlo
-replicate equals its single selection bit for bit. MarginalOperators
-uses the faster BLAS projection instead, whose rounding may depend on
-the block.
+One workspace serves every residual of a design. Every residual reaches
+the spectral frame through MarginalWorkspace.project_rows, whose einsum
+reductions run along contiguous rows, and r^T E^-1 r is reduced from
+(|z - U c|^2, c) by _reduce_quad alone, or by the grid's K x R outer
+product. So a residual rounds alike at any kappa and in any block:
+sigma2_hat at kappa_hat is the selection's own value, and a Monte Carlo
+replicate's that of its single selection, bit for bit.
 
 All objectives drop the constant -(n/2) ln(2 pi) normalization term; the
 full log density is available from log_marginal_density.
@@ -130,8 +130,7 @@ class MarginalOperators:
     def __init__(self, workspace, kappa):
         self._ws = workspace
         self.kappa = float(kappa)
-        self.n = workspace.n
-        self.t = workspace.t
+        self.n, self.t = workspace.n, workspace.t
         damping, logdet = workspace._filter(np.array([self.kappa]))
         # kappa / (s^2 + kappa): the share of each singular direction E^-1 keeps
         self.damping = damping[0]
@@ -140,16 +139,14 @@ class MarginalOperators:
     def solve(self, rhs):
         """E^-1 rhs for a vector or a matrix of column vectors."""
         ws = self._ws
-        z = ws.w.mul_lower(rhs, trans=True)
-        _, coef = ws.project_whitened(z)
-        z += ws.u @ (self.damping * coef.T).T
-        return ws.w.mul_lower(z)
+        z, coef = ws._split(np.atleast_2d(np.transpose(rhs)))
+        z += np.einsum("ri,in->rn", self.damping * coef, ws.u.T)
+        return ws.w.mul_lower(z.T if np.ndim(rhs) == 2 else z[0])
 
     def quad_form(self, residual):
         """r^T E^-1 r for one residual vector r."""
-        ws = self._ws
-        perp, coef = ws.project_whitened(ws.w.mul_lower(residual, trans=True))
-        return perp + float(self.damping @ (coef * coef))
+        perp, coef = self._ws.project_rows(np.asarray(residual, dtype=float)[None, :])
+        return float(_reduce_quad(perp, self.damping[None, :], coef * coef)[0])
 
     def expected_noise_quad(self):
         """tr(E^-1 W^-1): E[r^T E^-1 r]/sigma2 under r ~ N(0, W^-1 sigma2)."""
@@ -213,29 +210,31 @@ class MarginalWorkspace:
                 f"whitened design is numerically rank deficient (condition ~ {condition:.3e})",
                 condition=condition,
             )
-        coef = self.u.T @ self.w.mul_lower(residual, trans=True)
+        coef = self._split(np.asarray(residual, dtype=float)[None, :])[1][0]
         return self.w_beta.solve_lower(self.vt.T @ (self.s / (self.s2 + kappa) * coef), trans=True)
 
     def residual(self, prior):
         return self.problem.y - self.problem.a_matrix @ prior.mu
 
-    def project_whitened(self, z):
-        """(|z - U c|^2, c) for an already whitened z = L_W^T r; z, a vector
-        or a matrix of columns, is overwritten with z - U c."""
-        coef = self.u.T @ z
-        z -= self.u @ coef
-        if z.ndim == 1:
-            return float(z @ z), coef
-        return np.einsum("ij,ij->j", z, z), coef
-
-    def project_rows(self, rows):
-        """(|z - U c|^2, c) for each row r of an R x n block, (R,) and (R, t);
-        each row's result is bit-identical to projecting that row alone."""
+    def _split(self, rows):
+        """(z - U c, c) with z = L_W^T r and c = U^T z for each row r of an
+        R x n block, (R, n) and (R, t): the package's one projection."""
         z = self.w.mul_lower_rows(rows)
         u_rows = self.u.T  # C-ordered t x n view of the Fortran-ordered U
         coef = np.einsum("rn,in->ri", z, u_rows)
         z -= np.einsum("ri,in->rn", coef, u_rows)
+        return z, coef
+
+    def project_rows(self, rows):
+        """(|z - U c|^2, c) for each row r of an R x n block, (R,) and (R, t); each
+        row rounds alike in any block and alone, its reductions run along it."""
+        z, coef = self._split(rows)
         return np.einsum("rn,rn->r", z, z), coef
+
+
+def _reduce_quad(perp, damping, coef2):
+    """perp + sum_i d_i c_i^2 = r^T E^-1 r of K projected residuals, each alike for any K."""
+    return perp + np.einsum("ki,ki->k", damping, coef2)
 
 
 def _case_tag(prior, case1):
@@ -293,7 +292,7 @@ class MarginalObjective:
             quad = self._perp + np.einsum("ki,ri->kr", damping, self._coef2)
             logdet = logdet[:, None]
         else:
-            quad = self._perp[columns] + np.einsum("ki,ki->k", damping, self._coef2[columns])
+            quad = _reduce_quad(self._perp[columns], damping, self._coef2[columns])
         if self.sigma2 is not None:
             return quad, logdet, quad / self.sigma2 + logdet
         # quad underflows to 0 only for kappa near the smallest float

@@ -213,6 +213,23 @@ class TestMcSigma2Study:
         assert huge.mc_std_error / 1e155 == pytest.approx(large.mc_std_error / 1e100, rel=1e-9)
         assert huge.mc_mean / 1e155 == pytest.approx(large.mc_mean / 1e100, rel=1e-9)
 
+    def test_standard_error_of_noise_far_below_the_signal(self):
+        # sigma << |o|: each replicate's noise part lies below an ulp of its |o|^2 part,
+        # so the spread must come from the excess over the noise-free value; to first
+        # order in sigma it is the same draws times sigma, so se / sigma is constant
+        design, exact = ar.spectrum_problem(8, 4, 2.0, seed=1)
+        truth = ar.GroundTruth.from_design(design, exact)
+        prior = ar.default_prior(4, mu=exact)
+        ratios = [
+            ar.mc_sigma2_study(design, truth, prior, sigma2, 1.0, 100, seed=3).mc_std_error
+            / math.sqrt(sigma2)
+            for sigma2 in (1e-20, 1e-100, 1e-300, 1e-320)
+        ]
+        assert ratios[0] > 0.0
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-9)
+        assert ratios[2] == pytest.approx(ratios[0], rel=1e-9)
+        assert ratios[3] == pytest.approx(ratios[0], rel=1e-2)
+
     def test_true_mu_where_s2_over_kappa_overflows(self):
         # W_beta = 1e-300 I puts s^2 between 1e296 and 1e300; s^2/kappa overflows at both
         # kappas, where d used to underflow to 0 (a mean near 0.5) or meet an infinite h (nan)
@@ -376,13 +393,13 @@ class TestSigma2StudyChunks:
         prior = random_prior(rng, shape[1])
         if chunk_bytes is not None:
             monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", chunk_bytes)
-        workers_seen, reduce = set(), ar.bias._sum_squares
+        workers_seen, reduce = set(), ar.bias._excess
 
         def spy_reduce(*args):
             workers_seen.add(threading.current_thread())
             return reduce(*args)
 
-        monkeypatch.setattr(ar.bias, "_sum_squares", spy_reduce)
+        monkeypatch.setattr(ar.bias, "_excess", spy_reduce)
         before = set(threading.enumerate())
         reports = {}
         interval = sys.getswitchinterval()
@@ -456,7 +473,7 @@ class TestSigma2StudyChunks:
             def spy_reduce(*args):
                 raise error
 
-            monkeypatch.setattr(ar.bias, "_sum_squares", spy_reduce)
+            monkeypatch.setattr(ar.bias, "_excess", spy_reduce)
         with pytest.raises(type(error)) as raised:
             ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=600, seed=2)
         assert raised.value is error
@@ -472,7 +489,10 @@ def _n_dim_sigma2_study(design, truth, prior, sigma2, kappa, replicates, seed, m
     z *= math.sqrt(sigma2)
     if mu_mode == "zero":
         z += workspace.w.mul_lower(truth.y_bar, trans=True)
-    perp, coef = workspace.project_whitened(z.T)
+    # plain numpy on the already whitened draws, independent of the package's projection
+    coef = workspace.u.T @ z.T
+    outside = z.T - workspace.u @ coef
+    perp = np.einsum("ij,ij->j", outside, outside)
     if mu_mode == "true":
         # L_W^T A beta_dev = sqrt(sigma2/kappa) U diag(s) V^T z_beta
         prior_normals = np.empty((replicates, t))

@@ -327,3 +327,60 @@ class TestSweep:
         with pytest.raises(ar.EvaluationError):
             ar.write_sweep_csv(path, [row])
         assert not path.exists()
+
+
+def _rounding_fixture(kind):
+    """(design, y, mu, w_beta, sigma2) for the single-rounding tests; dense-w has a
+    dense W and W_beta, spectrum a nonzero prior mean."""
+    rng = np.random.default_rng(60)
+    if kind == "dense-w":
+        problem, prior = random_fixture(rng, 30, 6, cond=1e4)
+        design = ar.ProblemDesign(problem.a_matrix, problem.w)
+        return design, problem.y, prior.mu, prior.w_beta, 1e-2
+    if kind == "phillips":
+        design, exact = ar.phillips_problem(64)
+        sigma2, mu = 1e-4, None
+    else:
+        design, exact = ar.spectrum_problem(200, 50, decay=4.0, seed=3)
+        sigma2, mu = 1e-6, 0.9 * exact
+    y = design.a_matrix @ exact + math.sqrt(sigma2) * rng.standard_normal(design.n)
+    return design, y, mu, None, sigma2
+
+
+class TestOneRoundingRule:
+    """Every residual is projected by project_rows and reduced by one expression,
+    so a value rounds alike at any kappa, in any block and alone."""
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 2.0**-40], ids=["1", "3", "2^-40"])
+    @pytest.mark.parametrize("kind", ["phillips", "spectrum", "dense-w"])
+    def test_sigma2_hat_at_kappa_hat_is_the_selections(self, kind, scale):
+        design, y, mu, w_beta, sigma2 = _rounding_fixture(kind)
+        problem = design.with_observations(scale * y)
+        prior = ar.default_prior(design.t, mu=None if mu is None else scale * mu, w_beta=w_beta)
+        found = ar.select_case1(problem, prior)
+        assert ar.sigma2_hat(problem, prior, found.kappa_hat) == found.sigma2_hat
+        known = sigma2 * scale * scale
+        found = ar.select_case2(problem, prior, known)
+        workspace = ar.MarginalWorkspace(problem, prior.w_beta)
+        objective = ar.MarginalObjective(workspace, prior, known)
+        quad = objective(np.array([found.kappa_hat]), np.array([0])).quad_term[0]
+        assert ar.sigma2_hat(problem, prior, found.kappa_hat) == quad / problem.n
+        if found.boundary_flag is ar.BoundaryFlag.INTERIOR:
+            ops = workspace.operators(found.kappa_hat)
+            total = ops.quad_form(workspace.residual(prior)) / known + ops.logdet
+            assert total == found.objective_at_min
+
+    @pytest.mark.parametrize("kind", ["phillips", "spectrum", "dense-w"])
+    def test_quad_form_equals_its_column_of_a_block(self, kind):
+        design, y, mu, w_beta, sigma2 = _rounding_fixture(kind)
+        prior = ar.default_prior(design.t, mu=mu, w_beta=w_beta)
+        rng = np.random.default_rng(61)
+        observations = y[:, None] + math.sqrt(sigma2) * rng.standard_normal((design.n, 7))
+        workspace = ar.MarginalWorkspace(design.with_observations(y), prior.w_beta)
+        objective = ar.MarginalObjective(workspace, prior, sigma2, observations)
+        columns = np.arange(observations.shape[1])
+        for kappa in (1e-9, 1e-3, 0.7, 1e4):
+            quad = objective(np.full(columns.size, kappa), columns).quad_term
+            ops = workspace.operators(kappa)
+            for j in columns:
+                assert ops.quad_form(observations[:, j] - design.a_matrix @ prior.mu) == quad[j]
