@@ -8,10 +8,12 @@ second pool whose spinning workers slow the first one's calls.
 
 The command line runs that pool on one thread (pin_one_blas_thread). On
 2 CPUs, OpenBLAS is slower at its default two threads than at one: the
-workspace SVD of 2000 x 200 takes 44 ms at two threads and 32 ms at one,
-that of 400 x 100 7.3 ms and 3.9 ms. After each threaded call the idle
-worker spins for about 0.1-0.2 s and holds the second CPU. One thread
-also rounds alike whatever OPENBLAS_NUM_THREADS says. numpy has no
+workspace's QR and t x t SVD of a 2000 x 200 design take 26 ms at two
+threads and 15 ms at one, those of 400 x 100 4.4 ms and 2.0 ms (best of
+15; a thin SVD of the whole design takes 45 ms and 27 ms, 6.7 ms and
+3.0 ms). After each threaded call the idle worker spins for about
+0.1-0.2 s and holds the second CPU. One thread also rounds alike
+whatever OPENBLAS_NUM_THREADS says. numpy has no
 thread-count API, so the pin calls the bundled library through ctypes;
 where no such library is found (another BLAS, or another layout of the
 wheel), it does nothing.

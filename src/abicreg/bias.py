@@ -153,8 +153,8 @@ def expected_sigma2_terms(design, ground_truth, sigma2, kappa, w_beta=None):
     Both are nonnegative and the noise term never exceeds sigma2.
     """
     check_positive_finite(sigma2, "sigma2")
-    _, ops = _truth_frame(design, w_beta, kappa)
-    return _sigma2_terms(ops, ground_truth.y_bar, sigma2)
+    workspace, ops = _truth_frame(design, w_beta, kappa)
+    return _sigma2_terms(ops, workspace.project_rows(ground_truth.y_bar[None, :]), sigma2)
 
 
 def _truth_frame(design, w_beta, kappa):
@@ -163,8 +163,9 @@ def _truth_frame(design, w_beta, kappa):
     return workspace, workspace.operators(kappa)
 
 
-def _sigma2_terms(ops, y_bar, sigma2):
-    return ops.quad_form(y_bar) / ops.n, ops.expected_noise_quad() / ops.n * sigma2
+def _sigma2_terms(ops, projected, sigma2):
+    """(signal, noise) from ybar's projection (perp, c), shapes (1,) and (1, t)."""
+    return ops.projected_quad(*projected) / ops.n, ops.expected_noise_quad() / ops.n * sigma2
 
 
 _BLOCK = 256  # replicates per block of the sigma2 study
@@ -299,8 +300,9 @@ def mc_sigma2_study(
         perp, coef, analytic, sampling = 0.0, np.zeros(t), float(sigma2), "prior-draw"
     else:
         spread, sampling = np.sqrt(ops.damping), "fixed-truth"
-        analytic = sum(_sigma2_terms(ops, ground_truth.y_bar, sigma2))
-        perp, coef = (part[0] for part in workspace.project_rows(ground_truth.y_bar[None, :]))
+        projected = workspace.project_rows(ground_truth.y_bar[None, :])
+        analytic = sum(_sigma2_terms(ops, projected, sigma2))
+        perp, coef = (part[0] for part in projected)
     complement = float(n > t)  # g_0 lies on the axis of o_perp; n = t leaves no such axis
     shift = np.append(np.sqrt(ops.damping) * coef, complement * math.sqrt(perp))
     spread = np.append(spread, complement)

@@ -15,6 +15,7 @@ request too large for memory is a configuration error.
 """
 
 import argparse
+import functools
 import json
 import math
 import pathlib
@@ -349,7 +350,11 @@ def _add_bracket_flags(sub, rel_tol=True):
         )
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process: building it takes about 2 ms (some 50 help
+    formatters, each asking for the terminal size), and parse_args keeps no
+    state between calls. No handler mutates a default, such as --bracket's list."""
     parser = _Parser(prog="abicreg", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"abicreg {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)

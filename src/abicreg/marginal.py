@@ -31,6 +31,15 @@ z = L_W^T r and c = U^T z:
 with the damping d = kappa / (s^2 + kappa). MarginalWorkspace._filter
 computes d and ln det E, for every kappa a bracket admits.
 
+U itself is never formed. The workspace takes a Householder QR of the
+whitened design, L_W^T A L_b^-T = Q [R; 0], keeps Q as its t reflectors
+(none when n = t), and takes the SVD R = U_R diag(s) V^T of the t x t
+triangle, so that U = Q[:, :t] U_R (Chan's R-SVD, which LAPACK's gesdd
+also runs for a tall matrix before it forms U). Then c = U_R^T (Q^T z)[:t]
+and |z - U c|^2 = |(Q^T z)[t:]|^2, the least-squares residual of the QR,
+which never cancels: not |z|^2 - |c|^2, which loses every digit when r
+lies almost in the range of A.
+
 The same decomposition gives the point estimates. The minimizer of
 (r - A x)^T W (r - A x) + kappa x^T W_beta x is
 
@@ -40,17 +49,15 @@ never formed through the normal equations A^T W A + kappa W_beta,
 whose condition number is the square of the whitened design's.
 
 No kappa needs a factorization, and once a residual is projected each
-kappa costs O(t). |z - U c|^2 is the squared norm of the explicit
-difference, never |z|^2 - |c|^2, which cancels catastrophically when r
-lies almost in the range of A.
+kappa costs O(t).
 
 One workspace serves every residual of a design. Every residual reaches
-the spectral frame through MarginalWorkspace.project_rows, whose einsum
-reductions run along contiguous rows, and r^T E^-1 r is reduced from
-(|z - U c|^2, c) by _reduce_quad alone, or by the grid's K x R outer
-product. So a residual rounds alike at any kappa and in any block:
-sigma2_hat at kappa_hat is the selection's own value, and a Monte Carlo
-replicate's that of its single selection, bit for bit.
+the spectral frame through MarginalWorkspace.project_rows: one reflector
+at a time, then U_R, each step an einsum along contiguous rows. r^T E^-1 r
+is reduced from (|z - U c|^2, c) by _reduce_quad alone, or by the grid's
+K x R outer product. So a residual rounds alike at any kappa and in any
+block: sigma2_hat at kappa_hat is the selection's own value, and a Monte
+Carlo replicate's that of its single selection, bit for bit.
 
 All objectives drop the constant -(n/2) ln(2 pi) normalization term; the
 full log density is available from log_marginal_density.
@@ -140,12 +147,18 @@ class MarginalOperators:
         """E^-1 rhs for a vector or a matrix of column vectors."""
         ws = self._ws
         z, coef = ws._split(np.atleast_2d(np.transpose(rhs)))
-        z += np.einsum("ri,in->rn", self.damping * coef, ws.u.T)
+        # Q^T E^-1 rhs = [U_R (d * c); (Q^T z)[t:]] before L_W
+        z[:, : ws.t] = np.einsum("ri,ki->rk", self.damping * coef, ws.u_r)
+        ws._reflect(z, transpose=False)
         return ws.w.mul_lower(z.T if np.ndim(rhs) == 2 else z[0])
 
     def quad_form(self, residual):
         """r^T E^-1 r for one residual vector r."""
-        perp, coef = self._ws.project_rows(np.asarray(residual, dtype=float)[None, :])
+        rows = np.asarray(residual, dtype=float)[None, :]
+        return self.projected_quad(*self._ws.project_rows(rows))
+
+    def projected_quad(self, perp, coef):
+        """r^T E^-1 r of one residual from its projection (perp, c), shapes (1,) and (1, t)."""
         return float(_reduce_quad(perp, self.damping[None, :], coef * coef)[0])
 
     def expected_noise_quad(self):
@@ -157,9 +170,15 @@ class MarginalWorkspace:
     """Kappa-independent decomposition shared across objective evaluations.
 
     Holds the weights W and W_beta (whose Weights cache L_W, L_b and
-    ln det W), and the thin SVD U diag(s) V^T of the whitened design
-    L_W^T A L_b^-T, with s^2 beside it. Nothing that depends on kappa is
-    cached here.
+    ln det W), and the factors of the whitened design
+
+        L_W^T A L_b^-T = Q [U_R diag(s) V^T; 0]:
+
+    Q as its Householder reflectors, one per row of ``_reflectors``
+    with its scale in ``_tau`` (none when n = t, where Q = I), and the
+    SVD ``u_r``, ``s``, ``vt`` of the t x t triangle, with s^2 beside
+    it. U = Q[:, :t] U_R is never formed. Nothing that depends on kappa
+    is cached here.
     """
 
     def __init__(self, problem, w_beta=None):
@@ -168,13 +187,25 @@ class MarginalWorkspace:
         self.t = problem.t
         self.w = problem.w
         self.w_beta = as_weight(w_beta, "w_beta", self.t)
-        whitened = self.w_beta.solve_lower(self.w.mul_lower(problem.a_matrix, trans=True).T).T
+        # Fortran order, so that the QR's reflectors come back as C-ordered rows
+        # (ascontiguousarray below then copies nothing)
+        whitened = np.asfortranarray(
+            self.w_beta.solve_lower(self.w.mul_lower(problem.a_matrix, trans=True).T).T
+        )
         try:
-            u, self.s, self.vt = np.linalg.svd(whitened, full_matrices=False)
+            if self.n > self.t:
+                # row j holds column j of R up to the diagonal, reflector j below it
+                reflectors, self._tau = np.linalg.qr(whitened, mode="raw")
+                self._reflectors = np.ascontiguousarray(reflectors)
+                triangle = np.triu(self._reflectors[:, : self.t].T)
+                np.fill_diagonal(self._reflectors, 1.0)  # each reflector's implicit leading 1
+            else:
+                self._reflectors, self._tau, triangle = np.empty((0, self.n)), np.empty(0), whitened
+            u_r, self.s, self.vt = np.linalg.svd(triangle)
         except np.linalg.LinAlgError as exc:
             raise FactorizationError(f"SVD of the whitened design failed: {exc}") from exc
-        # Fortran order makes U^T the C-ordered view that project_rows reduces along
-        self.u = np.asfortranarray(u)
+        # Fortran order makes U_R^T the C-ordered view that _split reduces along
+        self.u_r = np.asfortranarray(u_r)
         self.s2 = self.s * self.s
 
     def operators(self, kappa):
@@ -216,20 +247,31 @@ class MarginalWorkspace:
     def residual(self, prior):
         return self.problem.y - self.problem.a_matrix @ prior.mu
 
+    def _reflect(self, rows, transpose):
+        """Q^T z with ``transpose``, else Q z, for each row z of an R x n block,
+        in place: one reflector at a time, its product with each row an einsum
+        along the row. An overflow gives inf or nan, as the reductions would."""
+        steps = range(len(self._tau))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in steps if transpose else reversed(steps):
+                v, tail = self._reflectors[j, j:], rows[:, j:]
+                tail -= np.multiply.outer(self._tau[j] * np.einsum("rn,n->r", tail, v), v)
+        return rows
+
     def _split(self, rows):
-        """(z - U c, c) with z = L_W^T r and c = U^T z for each row r of an
-        R x n block, (R, n) and (R, t): the package's one projection."""
-        z = self.w.mul_lower_rows(rows)
-        u_rows = self.u.T  # C-ordered t x n view of the Fortran-ordered U
-        coef = np.einsum("rn,in->ri", z, u_rows)
-        z -= np.einsum("ri,in->rn", coef, u_rows)
-        return z, coef
+        """(Q^T z, c) with z = L_W^T r and c = U^T z = U_R^T (Q^T z)[:t] for each
+        row r of an R x n block, (R, n) and (R, t): the package's one projection.
+        (Q^T z)[t:] is z - U c in Q's frame."""
+        z = self._reflect(self.w.mul_lower_rows(rows), transpose=True)
+        return z, np.einsum("rk,ik->ri", z[:, : self.t], self.u_r.T)
 
     def project_rows(self, rows):
         """(|z - U c|^2, c) for each row r of an R x n block, (R,) and (R, t); each
-        row rounds alike in any block and alone, its reductions run along it."""
+        row rounds alike in any block and alone, its reductions run along it.
+        |z - U c|^2 is |(Q^T z)[t:]|^2, the least-squares residual without cancellation."""
         z, coef = self._split(rows)
-        return np.einsum("rn,rn->r", z, z), coef
+        tail = z[:, self.t :]
+        return np.einsum("rn,rn->r", tail, tail), coef
 
 
 def _reduce_quad(perp, damping, coef2):

@@ -51,6 +51,9 @@ __all__ = [
 # numerically rank deficient.
 RANK_TOL_FACTOR = 1e3
 
+# Rows per diagonal block of Weight.solve_lower.
+_SOLVE_BLOCK = 64
+
 
 def _finite(arr, name):
     if not np.all(np.isfinite(arr)):
@@ -152,17 +155,26 @@ class Weight:
         return np.einsum("rn,nm->rm", rows, self._factor(), order="C")
 
     def solve_lower(self, x, trans=False):
-        """L^-1 x, or L^-T x with ``trans``; x itself for the identity.
+        """L^-1 x, or L^-T x with ``trans``: x itself for the identity, else a new array.
 
-        numpy has no triangular solve, so this is np.linalg.solve on the
-        cached factor: one O(n^3) LU of L or L^T per call, backward stable
-        like a triangular substitution.
+        numpy has no triangular solve, so this is blocked substitution on the
+        cached factor: np.linalg.solve on each diagonal block of _SOLVE_BLOCK
+        rows, matrix products for the rest. O(n^2 k) for k right-hand sides,
+        and backward stable like a plain substitution.
         """
         x = np.asarray(x, dtype=float)
         if self.matrix is None:
             return x
-        lower = self._factor()
-        return np.linalg.solve(lower.T if trans else lower, x)
+        factor = self._factor().T if trans else self._factor()
+        out = np.array(x, order="C")
+        starts = range(0, self.size, _SOLVE_BLOCK)
+        # L is solved from its first block down, L^T from its last block up
+        for start in reversed(starts) if trans else starts:
+            rows = slice(start, min(start + _SOLVE_BLOCK, self.size))
+            done = slice(rows.stop, None) if trans else slice(0, start)
+            out[rows] -= factor[rows, done] @ out[done]
+            out[rows] = np.linalg.solve(factor[rows, rows], out[rows])
+        return out
 
     def to_array(self):
         """W as a dense array, for reference computations on small problems."""

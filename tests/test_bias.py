@@ -286,8 +286,10 @@ def _dense_sigma2_reference(design, truth, w, w_beta, sigma2, kappa, replicates,
     solving with an explicit E for r = L_W^-T z."""
     a, n, t = design.a_matrix, design.n, design.t
     workspace = ar.MarginalWorkspace(design.with_observations(np.zeros(n)), w_beta)
-    u, s = workspace.u, workspace.s
     l_w = np.linalg.cholesky(w)
+    # the package's own frame U = Q U_R, Q from a plain QR of the whitened design
+    whitened = l_w.T @ a @ np.linalg.inv(np.linalg.cholesky(w_beta)).T
+    u, s = np.linalg.qr(whitened)[0] @ workspace.u_r, workspace.s
     e = np.linalg.inv(w) + a @ np.linalg.inv(w_beta) @ a.T / kappa
     complement = np.linalg.svd(u, full_matrices=True)[0][:, t:]
     sigma = math.sqrt(sigma2)
@@ -484,21 +486,24 @@ def _n_dim_sigma2_study(design, truth, prior, sigma2, kappa, replicates, seed, m
     normals per replicate, plus t prior normals in TrueMu mode, projected onto U."""
     n, t = design.n, design.t
     workspace = ar.MarginalWorkspace(design.with_observations(np.zeros(n)), prior.w_beta)
+    # its own SVD of the whitened design, independent of the package's factors
+    whitened = workspace.w_beta.solve_lower(workspace.w.mul_lower(design.a_matrix, trans=True).T).T
+    u, s, vt = np.linalg.svd(whitened, full_matrices=False)
     z = np.empty((replicates, n))
     ar.bias._normal_rows(seed, 0, z)
     z *= math.sqrt(sigma2)
     if mu_mode == "zero":
         z += workspace.w.mul_lower(truth.y_bar, trans=True)
     # plain numpy on the already whitened draws, independent of the package's projection
-    coef = workspace.u.T @ z.T
-    outside = z.T - workspace.u @ coef
+    coef = u.T @ z.T
+    outside = z.T - u @ coef
     perp = np.einsum("ij,ij->j", outside, outside)
     if mu_mode == "true":
         # L_W^T A beta_dev = sqrt(sigma2/kappa) U diag(s) V^T z_beta
         prior_normals = np.empty((replicates, t))
         ar.bias._normal_rows(seed, 0, prior_normals, word=1)
-        coef += math.sqrt(sigma2 / kappa) * workspace.s[:, None] * (workspace.vt @ prior_normals.T)
-    damping = workspace.operators(kappa).damping
+        coef += math.sqrt(sigma2 / kappa) * s[:, None] * (vt @ prior_normals.T)
+    damping = kappa / (s * s + kappa)
     return (perp + np.einsum("i,ij,ij->j", damping, coef, coef)) / n
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import abicreg as ar
 from abicreg import _linalg, cli
+from abicreg.selection import DEFAULT_BRACKET, DEFAULT_REL_TOL
 from conftest import cli_invocation
 
 
@@ -329,6 +330,43 @@ class TestDeterminism:
         ).read_bytes()
 
 
+class TestParserBuiltOnce:
+    """cli.main parses every call with one cached parser; no call leaks into the next."""
+
+    def _select(self, generated, out, *flags):
+        problem = str(generated / "gen" / "problem.json")
+        return cli.main(["select-kappa", "--problem", problem, *flags, "--out", str(out)])
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_defaults_after_a_call_that_set_them(self, generated, tmp_path, capsys):
+        assert self._select(generated, tmp_path / "set", "--case", "2", "--bracket", "-3", "4") == 0
+        assert self._select(generated, tmp_path / "default") == 0
+        assert capsys.readouterr() == ("", "")
+        set_config = read_json(tmp_path / "set" / "config.json")
+        assert (set_config["case"], set_config["bracket"]) == (2, [-3.0, 4.0])
+        config = read_json(tmp_path / "default" / "config.json")
+        assert config["case"] == 1
+        assert config["bracket"] == list(DEFAULT_BRACKET)
+        assert config["rel_tol"] == DEFAULT_REL_TOL
+        assert config["sigma2"] is None
+
+    def test_valid_call_after_an_argparse_error(self, generated, tmp_path, capsys):
+        assert self._select(generated, tmp_path / "bad", "--case", "3") == 2
+        assert json.loads(capsys.readouterr().err)["error"]["category"] == "config"
+        assert self._select(generated, tmp_path / "good") == 0
+        assert capsys.readouterr() == ("", "")
+        assert read_json(tmp_path / "good" / "config.json")["case"] == 1
+
+    def test_default_bracket_list_unchanged(self, generated, tmp_path):
+        for index, flags in enumerate([[], ["--bracket", "-2", "2"], ["--case", "2"], []]):
+            assert self._select(generated, tmp_path / str(index), *flags) == 0
+        subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+        for name in ("select-kappa", "sweep", "bias-study"):
+            assert subparsers[name].get_default("bracket") == list(DEFAULT_BRACKET)
+
+
 BUNDLED_OPENBLAS = _linalg.bundled_openblas()
 needs_bundled_openblas = pytest.mark.skipif(
     BUNDLED_OPENBLAS is None, reason="numpy's bundled OpenBLAS is not found; the CLI cannot pin it"
@@ -563,8 +601,10 @@ class TestInProcessFuzz:
             # outside pytest, each of these would print its text to stderr
             warnings.simplefilter("always")
             exit_code = cli.main(argv)
-        stderr = capsys.readouterr().err
+        stdout, stderr = capsys.readouterr()
         assert not caught, [str(warning.message) for warning in caught]
+        # the package never writes to stdout, where perfbench prints its result line
+        assert stdout == ""
         assert "Traceback" not in stderr
         assert exit_code in {0, 2, 3, 4}
         assert exit_code == code, stderr

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import abicreg as ar
-from conftest import random_fixture, tiny_fixture
+from conftest import random_fixture, random_spd, tiny_fixture
 
 LN5 = math.log(5.0)
 
@@ -384,3 +384,101 @@ class TestOneRoundingRule:
             ops = workspace.operators(kappa)
             for j in columns:
                 assert ops.quad_form(observations[:, j] - design.a_matrix @ prior.mu) == quad[j]
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's bundled OpenBLAS on one thread, as the command line runs it; restored after."""
+    lib = ar._linalg.bundled_openblas()
+    if lib is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found; its thread count cannot be set")
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    yield
+    lib.scipy_openblas_set_num_threads64_(before)
+
+
+def _tall_fixture(n, t, seed, dense):
+    """(problem, W_beta) with singular values 1 ... 1e-6 and, if ``dense``, dense W and W_beta."""
+    rng = np.random.default_rng(seed)
+    left = np.linalg.qr(rng.standard_normal((n, t)))[0]
+    right = np.linalg.qr(rng.standard_normal((t, t)))[0]
+    a = (left * np.logspace(0.0, -6.0, t)) @ right.T
+    w, w_beta = (random_spd(rng, n), random_spd(rng, t)) if dense else (None, np.eye(t))
+    # y lies in range(A) but for a 1e-6 part, so |z - U c|^2 ~ 1e-12 |z|^2
+    y = a @ rng.standard_normal(t) + 1e-6 * rng.standard_normal(n)
+    return ar.InverseProblem(a, y, w=w), w_beta
+
+
+class TestQrWorkspace:
+    """The workspace factors the whitened design as Q R, R = U_R diag(s) V^T, and never forms U."""
+
+    @pytest.mark.parametrize(
+        "n, t, dense", [(16, 16, False), (64, 64, True), (74, 40, False), (400, 100, False), (60, 20, True)]
+    )
+    def test_s_and_vt_are_numpys_svd_bit_for_bit(self, one_blas_thread, n, t, dense):
+        # LAPACK's gesdd factors by QR itself where n >= 11 t / 6, and n = t takes no QR
+        problem, w_beta = _tall_fixture(n, t, seed=n + t, dense=dense)
+        workspace = ar.MarginalWorkspace(problem, w_beta)
+        whitened = workspace.w_beta.solve_lower(problem.w.mul_lower(problem.a_matrix, trans=True).T).T
+        _, s, vt = np.linalg.svd(whitened, full_matrices=False)
+        assert np.array_equal(workspace.s, s)
+        assert np.array_equal(workspace.vt, vt)
+
+    def test_no_n_by_t_array_but_the_reflectors(self):
+        problem, w_beta = _tall_fixture(90, 12, seed=5, dense=True)
+        workspace = ar.MarginalWorkspace(problem, w_beta)
+        assert not hasattr(workspace, "u")
+        arrays = vars(workspace).items()
+        assert [name for name, value in arrays if np.size(value) >= 90 * 12] == ["_reflectors"]
+        assert workspace._reflectors.shape == (12, 90) and workspace._reflectors.flags.c_contiguous
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense-w", "identity-w"])
+    def test_projection_matches_mpmath(self, dense):
+        problem, w_beta = _tall_fixture(40, 8, seed=70, dense=dense)
+        workspace = ar.MarginalWorkspace(problem, w_beta)
+        (perp,), (coef,) = workspace.project_rows(problem.y[None, :])
+        with mp.workdps(40):
+            l_w = mp.cholesky(mp.matrix(problem.w.to_array().tolist()))
+            l_b = mp.cholesky(mp.matrix(w_beta.tolist()))
+            u, _, vt = mp.svd_r(l_w.T * mp.matrix(problem.a_matrix.tolist()) * mp.inverse(l_b).T)
+            z = l_w.T * mp.matrix(problem.y.tolist())
+            c = u.T * z
+            exact_perp = float(mp.fsum(v**2 for v in z) - mp.fsum(v**2 for v in c))
+            norm_z = float(mp.norm(z))
+            exact = np.array(c.tolist(), dtype=float)[:, 0]
+            exact_vt = np.array(vt.tolist(), dtype=float)
+        # singular vectors are defined up to sign: align U's columns through V's
+        exact *= np.sign(np.einsum("ij,ij->i", workspace.vt, exact_vt))
+        assert np.max(np.abs(coef - exact)) <= 1e-14 * norm_z
+        # |z|^2 - |c|^2 in floats would be off by about 1e-5 of perp here
+        assert perp == pytest.approx(exact_perp, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["n-equals-t", "n-equals-t-plus-1", "already-triangular"])
+    def test_edge_shapes_match_dense_operators(self, kind):
+        rng = np.random.default_rng(71)
+        if kind == "already-triangular":
+            # zero below the diagonal: LAPACK returns tau = 0, Q = I
+            a = np.vstack([np.triu(rng.standard_normal((5, 5))) + 3.0 * np.eye(5), np.zeros((4, 5))])
+            problem = ar.InverseProblem(a, rng.standard_normal(9))
+            prior = ar.default_prior(5, mu=rng.standard_normal(5))
+        else:
+            n = 6 if kind == "n-equals-t" else 7
+            problem, prior = random_fixture(rng, n, 6)
+        workspace = ar.MarginalWorkspace(problem, prior.w_beta)
+        reflectors = problem.t if problem.n > problem.t else 0
+        assert workspace._reflectors.shape == (reflectors, problem.n)
+        if kind == "already-triangular":
+            assert not np.any(workspace._tau)
+        residual = workspace.residual(prior)
+        (perp,), _ = workspace.project_rows(residual[None, :])
+        if kind == "n-equals-t":
+            assert perp == 0.0
+        for kappa in (1e-3, 0.7, 1e3):
+            ops = workspace.operators(kappa)
+            cofactor = _dense_cofactor(problem, prior, kappa)
+            solved = np.linalg.solve(cofactor, residual)
+            assert ops.quad_form(residual) == pytest.approx(residual @ solved, rel=1e-11)
+            assert_allclose(ops.solve(residual), solved, rtol=1e-10)
+            rhs = rng.standard_normal((problem.n, 3))
+            assert_allclose(ops.solve(rhs), np.linalg.solve(cofactor, rhs), rtol=1e-10)

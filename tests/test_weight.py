@@ -13,6 +13,17 @@ import abicreg as ar
 from conftest import random_spd
 
 
+def _mp_substitution(lower, rhs, trans):
+    """L^-1 rhs, or L^-T rhs with ``trans``, by substitution at the working mpmath precision."""
+    n = len(rhs)
+    factor = [[mp.mpf(v) for v in row] for row in (lower.T if trans else lower).tolist()]
+    out = [mp.mpf(0)] * n
+    for i in reversed(range(n)) if trans else range(n):
+        known = range(i + 1, n) if trans else range(i)
+        out[i] = (mp.mpf(rhs[i]) - mp.fsum(factor[i][j] * out[j] for j in known)) / factor[i][i]
+    return [float(v) for v in out]
+
+
 class TestWeight:
     def test_identity_stores_no_matrix(self):
         w = ar.as_weight(None, "w", 5)
@@ -38,24 +49,41 @@ class TestWeight:
         assert_allclose(w.solve_lower(x), np.linalg.solve(lower, x), rtol=1e-10)
         assert_allclose(w.solve_lower(x, trans=True), np.linalg.solve(lower.T, x), rtol=1e-10)
 
-    @pytest.mark.parametrize("trans", [False, True], ids=["L", "LT"])
-    def test_solve_lower_matches_mpmath_on_ill_conditioned_weight(self, trans):
-        # a second-difference prior plus a 1e-10 ridge: cond(L) is about 4e5
-        t = 16
+    @pytest.mark.parametrize(
+        "trans, t",
+        [(False, 16), (True, 16), (False, 130), (True, 130)],
+        ids=["L", "LT", "L-130-rows", "LT-130-rows"],
+    )
+    def test_solve_lower_matches_mpmath_on_ill_conditioned_weight(self, trans, t):
+        # a second-difference prior plus a 1e-10 ridge: cond(L) is about 4e5 at
+        # either size; 130 rows are two diagonal blocks of 64 and one of 2
         diff2 = np.diff(np.eye(t), 2, axis=0)
         w = ar.as_weight(diff2.T @ diff2 + 1e-10 * np.eye(t), "w_beta")
         lower = w._factor()
         assert 3e5 < np.linalg.cond(lower) < 5e5
         rhs = np.random.default_rng(3).standard_normal((t, 3))
         with mp.workdps(50):
-            factor = mp.matrix(lower.tolist())
-            factor = factor.T if trans else factor
-            exact = np.array(
-                [[float(v) for v in mp.lu_solve(factor, mp.matrix(col.tolist()))] for col in rhs.T]
-            ).T
+            exact = np.array([_mp_substitution(lower, col, trans) for col in rhs.T]).T
         block, vector = w.solve_lower(rhs, trans=trans), w.solve_lower(rhs[:, 0], trans=trans)
         assert np.linalg.norm(block - exact) <= 1e-13 * np.linalg.norm(exact)
         assert np.linalg.norm(vector - exact[:, 0]) <= 1e-13 * np.linalg.norm(exact[:, 0])
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("trans", [False, True], ids=["L", "LT"])
+    def test_solve_lower_inverts_mul_lower(self, n, trans):
+        rng = np.random.default_rng(n)
+        w = ar.as_weight(random_spd(rng, n), "w")
+        lower = w._factor()
+        factor = lower.T if trans else lower
+        assert np.array_equal(np.triu(factor) if trans else np.tril(factor), factor)
+        rhs = rng.standard_normal((n, 4))
+        for x in (rhs, rhs[:, 1]):
+            solved = w.solve_lower(x, trans=trans)
+            assert solved.shape == x.shape and solved is not x
+            # small backward error, as a triangular substitution has
+            residual = np.linalg.norm(factor @ solved - x)
+            assert residual <= 1e2 * n * np.finfo(float).eps * np.linalg.norm(factor) * np.linalg.norm(solved)
+            assert_allclose(solved, np.linalg.solve(factor, x), rtol=1e-9, atol=1e-12)
 
     def test_weight_passes_through_and_size_is_checked(self):
         w = ar.as_weight(np.eye(3), "w")
