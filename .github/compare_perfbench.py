@@ -7,9 +7,13 @@ in the order of the alternating pairs: line i of both files is pair i.
 Every line must pass check_perfbench.py's strict check. For each
 end-to-end metric of BENCHMARK.json the script prints the median per
 side, the relative change of the medians (positive is worse), the bound,
-and in how many pairs the change was better. Exit status 1 if a line
-fails its check, the two files hold different numbers of runs, or a
-metric is worse than its bound; 0 otherwise.
+the distance between the quartiles of the parent's runs relative to
+their median, and in how many pairs the change was better. A metric is
+marked unresolved when that spread is wider than its bound, unless every
+change run beats every parent run: the runs then cannot show a change
+within the bound. Exit status 1 if a line fails its check, the two files
+hold different numbers of runs, or a metric is worse than its bound; 0
+otherwise, unresolved metrics included.
 """
 
 import argparse
@@ -36,8 +40,17 @@ def read_runs(path, required):
     return runs, found
 
 
+def quartile_spread(values):
+    """The distance between the quartiles of ``values``; 0 for a single run."""
+    if len(values) < 2:
+        return 0.0
+    low, _, high = statistics.quantiles(values, n=4, method="inclusive")
+    return high - low
+
+
 def compare(parent, change, metrics):
-    """One row per metric: (name, parent median, change median, worsening, bound, better pairs)."""
+    """One row per metric: (name, parent median, change median, worsening, bound,
+    better pairs, parent spread relative to its median, unresolved)."""
     rows = []
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -46,7 +59,10 @@ def compare(parent, change, metrics):
         old, new = statistics.median(before), statistics.median(after)
         worsening = (new - old) / old if lower else (old - new) / old
         better = sum(1 for a, b in zip(before, after) if (b < a if lower else b > a))
-        rows.append((name, old, new, worsening, spec["bound"], better))
+        spread = quartile_spread(before) / abs(old)
+        every_run_better = max(after) < min(before) if lower else min(after) > max(before)
+        unresolved = spread > spec["bound"] and not every_run_better
+        rows.append((name, old, new, worsening, spec["bound"], better, spread, unresolved))
     return rows
 
 
@@ -71,12 +87,15 @@ def main(argv=None):
         return 1
     worse = False
     print(f"{len(parent)} pairs")
-    print(f"{'metric':<14} {'parent':>12} {'change':>12} {'worse by':>9} {'bound':>6}  better in")
-    for name, old, new, worsening, bound, better in compare(parent, change, metrics):
-        flag = "  WORSE THAN ITS BOUND" if worsening > bound else ""
-        worse = worse or bool(flag)
-        print(f"{name:<14} {old:>12.6g} {new:>12.6g} {worsening:>+9.1%} {bound:>6.0%}  "
-              f"{better}/{len(parent)}{flag}")
+    print(f"{'metric':<14} {'parent':>12} {'change':>12} {'worse by':>9} {'bound':>6} "
+          f"{'parent IQR':>10}  better in")
+    rows = compare(parent, change, metrics)
+    for name, old, new, worsening, bound, better, spread, unresolved in rows:
+        flags = ["WORSE THAN ITS BOUND"] if worsening > bound else []
+        worse = worse or bool(flags)
+        flags += ["unresolved"] if unresolved else []
+        print(f"{name:<14} {old:>12.6g} {new:>12.6g} {worsening:>+9.1%} {bound:>6.0%} "
+              f"{spread:>10.1%}  {better}/{len(parent)}" + "".join(f"  {flag}" for flag in flags))
     return 1 if worse else 0
 
 

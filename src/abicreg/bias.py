@@ -97,6 +97,8 @@ BLOCK_RNG_DESCRIPTION = (
 )
 
 MIN_REPLICATES = 100
+SIGMA2_STUDY_REPLICATES = 20000  # the default of mc_sigma2_study
+KAPPA_STUDY_REPLICATES = 500  # the default of mc_kappa_study
 
 
 class MuMode(enum.Enum):
@@ -275,7 +277,14 @@ def _true_mu_spread(workspace, damping, kappa):
 
 
 def mc_sigma2_study(
-    design, ground_truth, prior, sigma2, kappa, replicates=20000, seed=0, mu_mode=MuMode.ZERO_MU
+    design,
+    ground_truth,
+    prior,
+    sigma2,
+    kappa,
+    replicates=SIGMA2_STUDY_REPLICATES,
+    seed=0,
+    mu_mode=MuMode.ZERO_MU,
 ):
     """Monte Carlo check of the variance estimate at fixed kappa.
 
@@ -406,7 +415,7 @@ def mc_kappa_study(
     ground_truth,
     prior,
     sigma2,
-    replicates=500,
+    replicates=KAPPA_STUDY_REPLICATES,
     seed=0,
     case=1,
     log10_bracket=DEFAULT_BRACKET,

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__, serialize
 from ._linalg import pin_one_blas_thread
+from .bias import KAPPA_STUDY_REPLICATES, SIGMA2_STUDY_REPLICATES
 from .bias import check_seed, mc_kappa_study, mc_sigma2_study
 from .errors import (
     DegenerateProblemError,
@@ -46,7 +47,7 @@ from .model import (
     validate_problem,
 )
 from .problems import GeneratorKind, GeneratorSpec, generate_problem, synthesize_observations
-from .selection import DEFAULT_BRACKET, DEFAULT_REL_TOL, select_case1, select_case2
+from .selection import DEFAULT_BRACKET, DEFAULT_REL_TOL, GRID_POINTS, select_case1, select_case2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,10 +115,7 @@ def _cmd_generate(args):
     design, exact = generate_problem(spec)
     y, truth = synthesize_observations(design, exact, args.sigma2, seed=args.seed)
     problem = design.with_observations(y)
-    if args.mu_mode == "true":
-        prior = default_prior(design.t, mu=exact)
-    else:
-        prior = default_prior(design.t)
+    prior = default_prior(design.t, mu=exact if args.mu_mode == "true" else None)
     config = {
         "command": "generate",
         **spec.to_json(),
@@ -185,27 +183,34 @@ def _cmd_solve(args):
     return EXIT_OK
 
 
-def _cmd_select_kappa(args):
+def _selection_inputs(args):
+    """(problem, prior, known sigma2 or None in case 1, config up to the bracket)
+    of select-kappa and sweep."""
     loaded, prior, sigma2 = _problem_inputs(args)
-    problem = loaded.problem
-    bracket = (args.bracket[0], args.bracket[1])
     if args.case == 1:
-        selection = select_case1(problem, prior, bracket, args.rel_tol)
-    else:
-        if sigma2 is None:
-            raise CliConfigError("case 2 needs --sigma2 or a sigma2 entry in the problem file")
-        selection = select_case2(problem, prior, sigma2, bracket, args.rel_tol)
+        sigma2 = None
+    elif sigma2 is None:
+        raise CliConfigError("case 2 needs --sigma2 or a sigma2 entry in the problem file")
     config = {
-        "command": "select-kappa",
+        "command": args.command,
         "problem": str(args.problem),
         "case": args.case,
         "mu_mode": args.mu_mode,
         "mu_assumed_zero": prior.mu_assumed_zero,
-        "sigma2": sigma2 if args.case == 2 else None,
-        "bracket": [bracket[0], bracket[1]],
-        "rel_tol": args.rel_tol,
+        "sigma2": sigma2,
+        "bracket": list(args.bracket),
     }
-    _emit(args.out, config, selection.to_json())
+    return loaded.problem, prior, sigma2, config
+
+
+def _cmd_select_kappa(args):
+    problem, prior, sigma2, config = _selection_inputs(args)
+    bracket = tuple(args.bracket)
+    if sigma2 is None:
+        selection = select_case1(problem, prior, bracket, args.rel_tol)
+    else:
+        selection = select_case2(problem, prior, sigma2, bracket, args.rel_tol)
+    _emit(args.out, {**config, "rel_tol": args.rel_tol}, selection.to_json())
     return EXIT_OK
 
 
@@ -222,23 +227,21 @@ def _bias_inputs(args):
             exact = np.asarray(doc["exact_solution"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"exact_solution is not a numeric vector: {exc}") from exc
-        design = loaded.problem.design
-        truth = GroundTruth.from_design(design, exact)
-        # study prior is centered on the truth; the w_beta comes from the file
-        prior = default_prior(design.t, mu=exact, w_beta=loaded.prior.w_beta)
+        design, w_beta = loaded.problem.design, loaded.prior.w_beta
         source = {"problem": str(args.problem), "truth": str(args.truth)}
     else:
         spec = _generator_spec(args)
         design, exact = generate_problem(spec)
-        truth = GroundTruth.from_design(design, exact)
-        prior = default_prior(design.t, mu=exact)
+        w_beta = None
         source = {"generator_spec": spec.to_json()}
-    return design, truth, prior, source
+    truth = GroundTruth.from_design(design, exact)
+    # the study prior is centered on the truth; a problem file supplies its w_beta
+    return design, truth, default_prior(design.t, mu=exact, w_beta=w_beta), source
 
 
 def _cmd_bias_study(args):
     design, truth, prior, source = _bias_inputs(args)
-    if args.sigma2 is None or not args.sigma2 > 0:
+    if not args.sigma2 > 0:
         raise CliConfigError("bias-study needs a positive --sigma2 (the true noise variance)")
     config = {
         "command": "bias-study",
@@ -250,14 +253,13 @@ def _cmd_bias_study(args):
     if args.study == "sigma2":
         if args.kappa is None:
             raise CliConfigError("--study sigma2 requires --kappa")
-        replicates = 20000 if args.replicates is None else args.replicates
+        replicates = SIGMA2_STUDY_REPLICATES if args.replicates is None else args.replicates
         report = mc_sigma2_study(
             design, truth, prior, args.sigma2, args.kappa, replicates, args.seed, args.mu_mode
         )
         config.update({"kappa": args.kappa, "replicates": replicates, "mu_mode": args.mu_mode})
     else:
-        replicates = 500 if args.replicates is None else args.replicates
-        bracket = (args.bracket[0], args.bracket[1])
+        replicates = KAPPA_STUDY_REPLICATES if args.replicates is None else args.replicates
         report = mc_kappa_study(
             design,
             truth,
@@ -266,14 +268,14 @@ def _cmd_bias_study(args):
             replicates=replicates,
             seed=args.seed,
             case=args.case,
-            log10_bracket=bracket,
+            log10_bracket=tuple(args.bracket),
             rel_tol=args.rel_tol,
         )
         config.update(
             {
                 "case": args.case,
                 "replicates": replicates,
-                "bracket": [bracket[0], bracket[1]],
+                "bracket": list(args.bracket),
                 "rel_tol": args.rel_tol,
             }
         )
@@ -282,36 +284,15 @@ def _cmd_bias_study(args):
 
 
 def _cmd_sweep(args):
-    loaded, prior, sigma2 = _problem_inputs(args)
-    problem = loaded.problem
-    if args.case == 2 and sigma2 is None:
-        raise CliConfigError("case 2 needs --sigma2 or a sigma2 entry in the problem file")
-    bracket = (args.bracket[0], args.bracket[1])
-    rows = sweep_objective(
-        problem,
-        prior,
-        case=args.case,
-        sigma2=sigma2 if args.case == 2 else None,
-        log10_bracket=bracket,
-        points=args.points,
-    )
+    problem, prior, sigma2, config = _selection_inputs(args)
+    rows = sweep_objective(problem, prior, args.case, sigma2, tuple(args.bracket), args.points)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(out / "sweep.csv", rows)
-    config = {
-        "command": "sweep",
-        "problem": str(args.problem),
-        "case": args.case,
-        "mu_mode": args.mu_mode,
-        "mu_assumed_zero": prior.mu_assumed_zero,
-        "sigma2": sigma2 if args.case == 2 else None,
-        "bracket": [bracket[0], bracket[1]],
-        "points": args.points,
-    }
     best = min(rows, key=lambda row: row.objective)
     _emit(
         args.out,
-        config,
+        {**config, "points": args.points},
         {
             "csv": "sweep.csv",
             "points": len(rows),
@@ -333,6 +314,14 @@ def _add_generator_flags(sub):
     sub.add_argument("--t", type=int, default=None, help="number of parameters (spectrum only)")
     sub.add_argument("--decay", type=_finite, default=0.0, help="singular value decay exponent")
     sub.add_argument("--seed", type=int, default=0, help="generator seed")
+
+
+def _add_selection_flags(sub):
+    """The problem and objective flags of select-kappa and sweep."""
+    sub.add_argument("--problem", required=True)
+    sub.add_argument("--case", type=int, choices=[1, 2], default=1)
+    sub.add_argument("--sigma2", type=_finite, default=None, help="known noise variance (case 2)")
+    sub.add_argument("--mu-mode", choices=["auto", "true", "zero"], default="auto")
 
 
 def _add_bracket_flags(sub, rel_tol=True):
@@ -382,10 +371,7 @@ def build_parser():
     solve.set_defaults(handler=_cmd_solve)
 
     select = subs.add_parser("select-kappa", help="minimize an ABIC objective over kappa")
-    select.add_argument("--problem", required=True)
-    select.add_argument("--case", type=int, choices=[1, 2], default=1)
-    select.add_argument("--sigma2", type=_finite, default=None, help="known noise variance (case 2)")
-    select.add_argument("--mu-mode", choices=["auto", "true", "zero"], default="auto")
+    _add_selection_flags(select)
     _add_bracket_flags(select)
     _add_common_out(select)
     select.set_defaults(handler=_cmd_select_kappa)
@@ -405,11 +391,8 @@ def build_parser():
     bias.set_defaults(handler=_cmd_bias_study)
 
     sweep = subs.add_parser("sweep", help="tabulate an objective on a log kappa grid")
-    sweep.add_argument("--problem", required=True)
-    sweep.add_argument("--case", type=int, choices=[1, 2], default=1)
-    sweep.add_argument("--sigma2", type=_finite, default=None, help="known noise variance (case 2)")
-    sweep.add_argument("--mu-mode", choices=["auto", "true", "zero"], default="auto")
-    sweep.add_argument("--points", type=int, default=97)
+    _add_selection_flags(sweep)
+    sweep.add_argument("--points", type=int, default=GRID_POINTS)
     _add_bracket_flags(sweep, rel_tol=False)
     _add_common_out(sweep)
     sweep.set_defaults(handler=_cmd_sweep)

@@ -70,7 +70,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import spd_factor, spd_logdet, symmetrize
+from ._linalg import symmetrize
 from .errors import (
     DegenerateProblemError,
     DomainError,
@@ -178,7 +178,8 @@ class MarginalWorkspace:
     with its scale in ``_tau`` (none when n = t, where Q = I), and the
     SVD ``u_r``, ``s``, ``vt`` of the t x t triangle, with s^2 beside
     it. U = Q[:, :t] U_R is never formed. Nothing that depends on kappa
-    is cached here.
+    is cached here. Where s^2 overflows (s above about 1.34e154, indexed by
+    ``_huge``), ``_log_s2`` holds ln s^2 as 2 ln s.
     """
 
     def __init__(self, problem, w_beta=None):
@@ -206,7 +207,11 @@ class MarginalWorkspace:
             raise FactorizationError(f"SVD of the whitened design failed: {exc}") from exc
         # Fortran order makes U_R^T the C-ordered view that _split reduces along
         self.u_r = np.asfortranarray(u_r)
-        self.s2 = self.s * self.s
+        with np.errstate(over="ignore", divide="ignore"):
+            self.s2 = self.s * self.s
+            self._log_s2 = np.log(self.s2)
+        self._huge = np.flatnonzero(np.isinf(self.s2))
+        self._log_s2[self._huge] = 2.0 * np.log(self.s[self._huge])
 
     def operators(self, kappa):
         check_positive_finite(kappa, "kappa")
@@ -221,7 +226,7 @@ class MarginalWorkspace:
             ratio = self.s2 / kappa
         terms = np.log1p(ratio)
         rows, cols = np.nonzero(np.isinf(ratio))
-        terms[rows, cols] = np.log(self.s2[cols]) - np.log(kappa[rows, 0])
+        terms[rows, cols] = self._log_s2[cols] - np.log(kappa[rows, 0])
         return kappa / (self.s2 + kappa), terms.sum(axis=1) - self.w.logdet
 
     def penalized_solution(self, residual, kappa):
@@ -242,7 +247,10 @@ class MarginalWorkspace:
                 condition=condition,
             )
         coef = self._split(np.asarray(residual, dtype=float)[None, :])[1][0]
-        return self.w_beta.solve_lower(self.vt.T @ (self.s / (self.s2 + kappa) * coef), trans=True)
+        gain = self.s / (self.s2 + kappa)
+        # that reads 0 where s^2 overflows
+        gain[self._huge] = 1.0 / (self.s[self._huge] + kappa / self.s[self._huge])
+        return self.w_beta.solve_lower(self.vt.T @ (gain * coef), trans=True)
 
     def residual(self, prior):
         return self.problem.y - self.problem.a_matrix @ prior.mu
@@ -336,7 +344,9 @@ class MarginalObjective:
         else:
             quad = _reduce_quad(self._perp[columns], damping, self._coef2[columns])
         if self.sigma2 is not None:
-            return quad, logdet, quad / self.sigma2 + logdet
+            # a subnormal sigma2 overflows this to inf, which the selection and the writers reject
+            with np.errstate(over="ignore"):
+                return quad, logdet, quad / self.sigma2 + logdet
         # quad underflows to 0 only for kappa near the smallest float
         with np.errstate(divide="ignore", invalid="ignore"):
             total = np.where(quad > 0.0, self.workspace.n * np.log(quad) + logdet, np.inf)
@@ -372,6 +382,10 @@ def log10_to_kappa(log10_kappa):
     """10.0 ** x for each x of a 1-D array, the one conversion of every grid and
     search: Python's float power, which np.power does not match on all x."""
     return np.array([10.0**x for x in np.asarray(log10_kappa, dtype=float).tolist()])
+
+
+GRID_POINTS = 97
+DEFAULT_BRACKET = (-12.0, 12.0)
 
 
 def kappa_grid(log10_bracket, points):
@@ -430,10 +444,10 @@ def neg_log_lik_variances(problem, prior, sigma2, sigma_beta2):
     so it stays an independent cross-check of neg_log_lik_kappa; the
     quadratic form is |L^-1 r|^2.
     """
-    sigma = marginal_covariance(problem, prior, sigma2, sigma_beta2)
-    factor = spd_factor(sigma, "marginal covariance")
-    half = np.linalg.solve(factor, problem.y - problem.a_matrix @ prior.mu)
-    return spd_logdet(factor) + float(half @ half)
+    covariance = marginal_covariance(problem, prior, sigma2, sigma_beta2)
+    sigma = as_weight(covariance, "marginal covariance")
+    half = sigma.solve_lower(problem.y - problem.a_matrix @ prior.mu)
+    return sigma.logdet + float(half @ half)
 
 
 def neg_log_lik_kappa(problem, prior, sigma2, kappa):
@@ -480,7 +494,9 @@ class SweepRow:
 SWEEP_HEADER = "kappa,quad_term,logdet_term,objective,case"
 
 
-def sweep_objective(problem, prior, case=1, sigma2=None, log10_bracket=(-12.0, 12.0), points=97):
+def sweep_objective(
+    problem, prior, case=1, sigma2=None, log10_bracket=DEFAULT_BRACKET, points=GRID_POINTS
+):
     """Evaluate one ABIC objective on a log-uniform kappa grid.
 
     Returns one SweepRow per grid point; the trace behind the

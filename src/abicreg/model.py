@@ -2,10 +2,10 @@
 
 The measurement model is y = A beta + eps with cov(eps) = W^-1 sigma^2,
 where W is a symmetric positive definite weight matrix. Prior knowledge
-about beta enters as a mean vector mu, a weight matrix W_beta and an
-optional variance sigma_beta2, so that cov(beta) = W_beta^-1 sigma_beta2.
-The relative weight kappa = sigma2 / sigma_beta2 ties the two variance
-components together.
+about beta enters as a mean vector mu and a weight matrix W_beta, with
+cov(beta) = W_beta^-1 sigma_beta2. The relative weight
+kappa = sigma2 / sigma_beta2 ties the two variance components together;
+a problem file may state either variance (``LoadedProblem``).
 
 Both weights are held as ``Weight`` objects. An omitted weight is the
 identity of the right size and no matrix is ever built for it; a
@@ -27,7 +27,6 @@ from .errors import (
     DomainError,
     FactorizationError,
     RankDeficiencyWarning,
-    check_positive_finite,
 )
 
 __all__ = [
@@ -62,8 +61,10 @@ def _finite(arr, name):
 
 
 def _numeric(value, name):
+    """A new float array of ``value``. Every input array is converted here, once
+    per object, so no stored array shares memory with the caller's."""
     try:
-        return np.asarray(value, dtype=float)
+        return np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DimensionError(f"{name} is not a numeric array: {exc}") from exc
 
@@ -87,7 +88,7 @@ def _as_square(value, name, size=None):
 
 
 def _freeze(arr):
-    arr = np.array(arr, dtype=float)
+    """Mark a new array from _numeric read-only."""
     arr.setflags(write=False)
     return arr
 
@@ -263,24 +264,21 @@ class ProblemDesign:
 class PriorModel:
     """Prior moments for beta: mean mu and weight W_beta (a Weight; None is the identity).
 
-    ``sigma_beta2`` scales the prior covariance, cov(beta) =
-    W_beta^-1 sigma_beta2; it may be left unset when only the relative
-    weight kappa matters. ``mu_assumed_zero`` records that the mean was
-    not supplied and a zero vector was substituted; every downstream
-    report echoes this flag because forcing mu = 0 biases the variance
-    estimates.
+    The prior variance sigma_beta2 is not part of it: functions that need
+    it, such as bayes_estimate, take it as an argument, and a problem
+    file's value is ``LoadedProblem.sigma_beta2``. ``mu_assumed_zero``
+    records that the mean was not supplied and a zero vector was
+    substituted; every downstream report echoes this flag because
+    forcing mu = 0 biases the variance estimates.
     """
 
     mu: np.ndarray
     w_beta: Weight
-    sigma_beta2: float = None
     mu_assumed_zero: bool = field(default=False)
 
     def __post_init__(self):
         mu = _as_vector(self.mu, "mu")
         w_beta = as_weight(self.w_beta, "w_beta", mu.shape[0])
-        if self.sigma_beta2 is not None:
-            check_positive_finite(self.sigma_beta2, "sigma_beta2")
         object.__setattr__(self, "mu", _freeze(mu))
         object.__setattr__(self, "w_beta", w_beta)
 
@@ -293,7 +291,7 @@ class PriorModel:
         return replace(self, mu=np.zeros(self.t), mu_assumed_zero=True)
 
 
-def default_prior(t, mu=None, w_beta=None, sigma_beta2=None):
+def default_prior(t, mu=None, w_beta=None):
     """Build a PriorModel, substituting identity weight and zero mean.
 
     A zero mean substituted here sets ``mu_assumed_zero`` so the
@@ -304,8 +302,8 @@ def default_prior(t, mu=None, w_beta=None, sigma_beta2=None):
         mu = _as_vector(mu, "mu", length=t)
     w_beta = as_weight(w_beta, "w_beta", t)
     if mu is None:
-        return PriorModel(np.zeros(t), w_beta, sigma_beta2, mu_assumed_zero=True)
-    return PriorModel(mu, w_beta, sigma_beta2)
+        return PriorModel(np.zeros(t), w_beta, mu_assumed_zero=True)
+    return PriorModel(mu, w_beta)
 
 
 @dataclass(frozen=True)
@@ -470,13 +468,9 @@ def load_problem(path):
     for key in ("A", "y"):
         if key not in raw:
             raise DomainError(f"problem file is missing required key {key!r}")
-    try:
-        a = np.asarray(raw["A"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"key 'A' is not a numeric matrix: {exc}") from exc
-    problem = InverseProblem(a, raw["y"], raw.get("W"))
+    problem = InverseProblem(raw["A"], raw["y"], raw.get("W"))
     sigma2, sigma_beta2 = _file_variance(raw, "sigma2"), _file_variance(raw, "sigma_beta2")
-    prior = default_prior(problem.t, raw.get("mu"), raw.get("W_beta"), sigma_beta2)
+    prior = default_prior(problem.t, raw.get("mu"), raw.get("W_beta"))
     return LoadedProblem(problem, prior, sigma2, sigma_beta2)
 
 
@@ -495,10 +489,8 @@ def save_problem(path, problem, prior=None, sigma2=None, sigma_beta2=None):
             doc["W_beta"] = prior.w_beta.matrix
         if not prior.mu_assumed_zero:
             doc["mu"] = prior.mu
-        if prior.sigma_beta2 is not None:
-            doc["sigma_beta2"] = prior.sigma_beta2
     if sigma2 is not None:
         doc["sigma2"] = sigma2
-    if sigma_beta2 is not None and "sigma_beta2" not in doc:
+    if sigma_beta2 is not None:
         doc["sigma_beta2"] = sigma_beta2
     serialize.dump(doc, path)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .marginal import MarginalObjective, MarginalWorkspace, ObjectiveCase
-from .marginal import kappa_grid, log10_to_kappa
+from .marginal import DEFAULT_BRACKET, GRID_POINTS, kappa_grid, log10_to_kappa
 
 __all__ = [
     "GRID_POINTS",
@@ -38,8 +38,6 @@ __all__ = [
     "select_case2",
 ]
 
-GRID_POINTS = 97
-DEFAULT_BRACKET = (-12.0, 12.0)
 DEFAULT_REL_TOL = 1e-6
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

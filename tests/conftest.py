@@ -32,6 +32,30 @@ def cli_invocation(*args):
     return [sys.executable, "-m", "abicreg", *map(str, args)], env
 
 
+# Every array of a 2 x 1 problem file, and each of them with a text entry or a ragged row.
+GOOD_ARRAYS = {
+    "A": [[1.0], [2.0]],
+    "y": [1.0, 3.0],
+    "W": [[1.0, 0.0], [0.0, 1.0]],
+    "W_beta": [[1.0]],
+    "mu": [1.0],
+}
+TEXT_ARRAYS = {
+    "A": [[1.0], ["x"]],
+    "y": [1.0, "x"],
+    "W": [[1.0, 0.0], [0.0, "x"]],
+    "W_beta": [["x"]],
+    "mu": ["x"],
+}
+RAGGED_ARRAYS = {
+    "A": [[1.0], [2.0, 3.0]],
+    "y": [1.0, [3.0]],
+    "W": [[1.0, 0.0], [0.0]],
+    "W_beta": [[1.0], [1.0, 1.0]],
+    "mu": [[1.0], 2.0],
+}
+
+
 def random_spd(rng, k, spread=4.0):
     """Random SPD matrix with eigenvalues in [1/spread, spread]."""
     q = np.linalg.qr(rng.standard_normal((k, k)))[0]

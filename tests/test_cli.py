@@ -8,7 +8,7 @@ import pytest
 import abicreg as ar
 from abicreg import _linalg, cli
 from abicreg.selection import DEFAULT_BRACKET, DEFAULT_REL_TOL
-from conftest import cli_invocation
+from conftest import RAGGED_ARRAYS, TEXT_ARRAYS, cli_invocation
 
 
 def run_cli(*args, cwd):
@@ -466,16 +466,24 @@ INDEFINITE = {"W": [[1.0, 2.0], [2.0, 1.0]]}
 ASYMMETRIC = {"W": [[1.0, 0.0], [1.0, 1.0]]}
 
 
-def _phillips_16():
-    """The problem file of `generate --kind phillips --n 16 --sigma2 1e-4 --seed 1`."""
-    design, exact = ar.phillips_problem(16)
+def _phillips(n):
+    """The problem file of `generate --kind phillips --n {n} --sigma2 1e-4 --seed 1`."""
+    design, exact = ar.phillips_problem(n)
     y, _ = ar.synthesize_observations(design, exact, 1e-4, seed=1)
     doc = {"A": design.a_matrix.tolist(), "y": y.tolist(), "mu": exact.tolist(), "sigma2": 1e-4}
     return json.dumps(doc)
 
 
+def _scaled_phillips_8():
+    """Phillips 8 with A scaled by 1e160 and y = A beta: every s^2 overflows."""
+    design, exact = ar.phillips_problem(8)
+    a = design.a_matrix * 1e160
+    return json.dumps({"A": a.tolist(), "y": (a @ exact).tolist()})
+
+
 # its largest s^2 is 33.7, so s^2 / kappa overflows at the bottom of the float range
-PHILLIPS_16 = _phillips_16()
+PHILLIPS_16 = _phillips(16)
+PHILLIPS_8 = _phillips(8)
 LOWEST_BRACKET = "--bracket -307 -306"
 
 
@@ -524,6 +532,7 @@ FUZZ_CASES = [
         f"{BIAS} --study sigma2 --kind spectrum --n 8 --t 4 --sigma2 1 --kappa 1e-320 --mu-mode true",
         0,
     ),
+    fuzz("solve-ls-huge-singular-values", f"{SOLVE} ls", 0, _scaled_phillips_8()),
     # condition_estimate's RankDeficiencyWarning; the estimate itself reports the deficiency
     fuzz(
         "generate-rank-deficient",
@@ -555,6 +564,11 @@ FUZZ_CASES = [
     fuzz("select-sigma2-bool", f"{SELECT} --case 2", 2, {"sigma2": True}),
     fuzz("ragged-a", SELECT, 2, {"A": [[1.0], [2.0, 3.0]]}),
     fuzz("text-a", SELECT, 2, {"A": "x"}),
+    *(
+        fuzz(f"{kind}-entry-{key}", SELECT, 2, {key: arrays[key]})
+        for kind, arrays in (("text", TEXT_ARRAYS), ("ragged", RAGGED_ARRAYS))
+        for key in arrays
+    ),
     fuzz("mu-wrong-length", f"{SOLVE} bayes", 2, {"mu": [1.0, 2.0]}),
     fuzz("y-nan", SELECT, 2, '{"A": [[1.0], [2.0]], "y": [NaN, 1.0]}'),
     fuzz("not-an-object", SELECT, 2, "[1.0]"),
@@ -566,6 +580,10 @@ FUZZ_CASES = [
     fuzz("solve-ls-asymmetric-w", f"{SOLVE} ls", 3, ASYMMETRIC),
     fuzz("solve-regularized-asymmetric-w", f"{SOLVE} regularized --kappa 1", 3, ASYMMETRIC),
     fuzz("solve-rank-deficient", f"{SOLVE} ls", 3, {"A": [[1.0, 1.0], [1.0, 1.0]], "mu": None}),
+    # quad / sigma2 overflows at a subnormal known sigma2
+    fuzz("select-sigma2-subnormal", f"{SELECT} --case 2 --sigma2 1e-320", 3, PHILLIPS_8),
+    fuzz("sweep-sigma2-subnormal", f"{SWEEP} --case 2 --sigma2 1e-320", 3, PHILLIPS_8),
+    fuzz("bias-kappa-sigma2-subnormal", f"{BIAS_GEN} --study kappa --case 2 --sigma2 5e-324", 3),
     fuzz("truth-text", BIAS_FILES, 2, truth='{"exact_solution": "abc"}'),
     fuzz("truth-wrong-length", BIAS_FILES, 2, truth='{"exact_solution": [1.0, 2.0]}'),
     fuzz("truth-missing-key", BIAS_FILES, 2, truth="{}"),
@@ -618,6 +636,36 @@ class TestInProcessFuzz:
         if code:
             category = {2: "config", 3: "numeric", 4: "io"}[code]
             assert json.loads(stderr)["error"]["category"] == category
+
+
+class TestConfigBytes:
+    """select-kappa and sweep share one config builder; its key order is pinned here."""
+
+    CASES = [
+        (
+            "select-kappa --problem p.json --out o",
+            '"command":"select-kappa","problem":"p.json","case":1,"mu_mode":"auto",'
+            '"mu_assumed_zero":false,"sigma2":null,"bracket":[-12.0,12.0],"rel_tol":1e-6}',
+        ),
+        (
+            "select-kappa --problem p.json --out o --case 2 --mu-mode zero",
+            '"command":"select-kappa","problem":"p.json","case":2,"mu_mode":"zero",'
+            '"mu_assumed_zero":true,"sigma2":0.0001,"bracket":[-12.0,12.0],"rel_tol":1e-6}',
+        ),
+        (
+            "sweep --problem p.json --out o --sigma2 0.5 --points 9 --bracket -3 3",
+            '"command":"sweep","problem":"p.json","case":1,"mu_mode":"auto",'
+            '"mu_assumed_zero":false,"sigma2":null,"bracket":[-3.0,3.0],"points":9}',
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, expected", CASES, ids=["select-case1", "select-case2", "sweep"])
+    def test_config_json(self, tmp_path, monkeypatch, argv, expected):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.json").write_text(PHILLIPS_8)
+        assert cli.main(argv.split()) == 0
+        version = '{"version":"%s",' % ar.__version__
+        assert (tmp_path / "o" / "config.json").read_bytes() == (version + expected + "\n").encode()
 
 
 @pytest.fixture(scope="module")

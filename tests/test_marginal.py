@@ -482,3 +482,35 @@ class TestQrWorkspace:
             assert_allclose(ops.solve(residual), solved, rtol=1e-10)
             rhs = rng.standard_normal((problem.n, 3))
             assert_allclose(ops.solve(rhs), np.linalg.solve(cofactor, rhs), rtol=1e-10)
+
+
+def _scaled_phillips(scale):
+    """Phillips 8 with A scaled by ``scale`` and y = A beta exactly, beside the unscaled one."""
+    design, exact = ar.phillips_problem(8)
+    a = design.a_matrix * scale
+    return ar.InverseProblem(a, a @ exact), ar.InverseProblem(design.a_matrix, design.a_matrix @ exact)
+
+
+class TestOverflowingSingularValues:
+    """Whitened singular values above about 1.34e154, where s^2 overflows to inf."""
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    def test_estimates_match_the_unscaled_design(self, scale):
+        big, small = _scaled_phillips(scale)
+        assert np.all(np.isinf(ar.MarginalWorkspace(big).s2))
+        # kappa scales with A^2
+        regularized = ar.regularized_estimate(small, kappa=1e308 / scale / scale)
+        pairs = [
+            (ar.ls_estimate(big), ar.ls_estimate(small)),
+            (ar.regularized_estimate(big, kappa=1e308), regularized),
+        ]
+        for scaled, plain in pairs:
+            error = np.linalg.norm(scaled.beta_hat - plain.beta_hat)
+            assert error <= 1e-13 * np.linalg.norm(plain.beta_hat)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e300])
+    def test_logdet_is_finite(self, kappa):
+        big, _ = _scaled_phillips(1e160)
+        workspace = ar.MarginalWorkspace(big)
+        expected = np.sum(2.0 * np.log(workspace.s) - math.log(kappa)) - big.w.logdet
+        assert workspace.operators(kappa).logdet == pytest.approx(expected, rel=1e-13)
