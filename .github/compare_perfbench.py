@@ -14,6 +14,14 @@ change run beats every parent run: the runs then cannot show a change
 within the bound. Exit status 1 if a line fails its check, the two files
 hold different numbers of runs, or a metric is worse than its bound; 0
 otherwise, unresolved metrics included.
+
+    python3 .github/compare_perfbench.py parent.jsonl change.jsonl --claim peak_rss_mb
+
+also tests a claimed gain on one metric: it is met when the change is
+better in at least nine tenths of the pairs, ties counting for neither
+side, and its median is better than the parent's by more than the
+distance between the quartiles of the parent's runs. The script prints
+"claim met" or "claim not met", and exits 1 when it is not met.
 """
 
 import argparse
@@ -66,14 +74,29 @@ def compare(parent, change, metrics):
     return rows
 
 
+def claim_met(parent, change, spec):
+    """(met, pairs the change won, median gain, parent quartile distance) of a
+    claimed gain on the metric ``spec``; the gain is positive when better."""
+    name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
+    before = [run[name] for run in parent]
+    after = [run[name] for run in change]
+    won = sum(1 for a, b in zip(before, after) if sign * (a - b) > 0)
+    gain = sign * (statistics.median(before) - statistics.median(after))
+    spread = quartile_spread(before)
+    return 10 * won >= 9 * len(before) and gain > spread, won, gain, spread
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="result lines of the parent's runs")
     parser.add_argument("change", help="result lines of the change's runs, in the same pair order")
     parser.add_argument("--benchmark", default=str(HERE.parent / "BENCHMARK.json"))
+    parser.add_argument("--claim", metavar="METRIC", help="an end-to-end metric claimed to improve")
     args = parser.parse_args(argv)
     metrics = json.loads(Path(args.benchmark).read_text())["end_to_end"]
     required = [spec["name"] for spec in metrics]
+    if args.claim is not None and args.claim not in required:
+        parser.error(f"--claim {args.claim} is not an end-to-end metric of {args.benchmark}")
     parent, found = read_runs(args.parent, required)
     change, more = read_runs(args.change, required)
     found += more
@@ -96,6 +119,11 @@ def main(argv=None):
         flags += ["unresolved"] if unresolved else []
         print(f"{name:<14} {old:>12.6g} {new:>12.6g} {worsening:>+9.1%} {bound:>6.0%} "
               f"{spread:>10.1%}  {better}/{len(parent)}" + "".join(f"  {flag}" for flag in flags))
+    if args.claim is not None:
+        met, won, gain, spread = claim_met(parent, change, metrics[required.index(args.claim)])
+        print(f"{args.claim}: better in {won}/{len(parent)} pairs, median better by {gain:.6g} "
+              f"against a parent quartile distance of {spread:.6g}: claim {'met' if met else 'not met'}")
+        worse = worse or not met
     return 1 if worse else 0
 
 

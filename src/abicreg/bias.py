@@ -40,20 +40,23 @@ so a noise far below |o| keeps its digits; |shift|^2 is added back to
 the mean alone. Chunks of whole blocks are drawn and reduced without
 BLAS, in units of the power of four just above max(sigma2, |o|^2),
 where no term overflows, by one thread per CPU: worker k takes chunks
-k, k + w, ... into its own buffers (about 8 MB of rows for all w
-together), and the calling thread is worker 0. A replicate's estimate
+k, k + w, ... into its own buffers of about 512 KiB of rows, small
+enough to stay in a core's L2 cache between the fill and the
+reduction, and the calling thread is worker 0. A replicate's estimate
 depends on its own row alone, and the moments are taken once every
 worker has joined, so the worker count changes no bit.
 
 Randomness comes from counter-based streams (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC11): numpy's Philox
 (Philox4x64-10) keyed by the seed, which must lie in [0, 2**128). One
-filler, _normal_rows, draws every number in blocks: block b is one
-fill of per_block rows from counter (0, b, word, 0), and
-replicate r is row r % per_block of block r // per_block. It has two
-layouts. The kappa study and problems.synthesize_observations take one
-row per block, so replicate r draws from counter (0, r, 0, 0), the
-stream of replicate_stream(seed, r), and a generated problem's noise is
+filler, built by _block_filler, draws every number in blocks: block b
+is one fill of per_block rows from counter (0, b, word, 0), and
+replicate r is row r % per_block of block r // per_block. A filler
+builds its generator once and resets only the counter per block; each
+sigma2-study worker owns one filler per word. There are two layouts.
+The kappa study and problems.synthesize_observations take one row per
+block, so replicate r draws from counter (0, r, 0, 0), the stream of
+replicate_stream(seed, r), and a generated problem's noise is
 replicate 0's. The sigma2 study takes 256 rows per block, one fill at
 numpy's bulk speed: word 0 holds a replicate's normals g and g_0 (g_0
 unused when n = t), word 1 its chi2(n - t - 1) as 2 standard_gamma.
@@ -173,17 +176,19 @@ def _sigma2_terms(ops, projected, sigma2):
 _BLOCK = 256  # replicates per block of the sigma2 study
 
 
-def _normal_rows(
-    seed, start, out, word=0, per_block=_BLOCK, draw=lambda rng, out: rng.standard_normal(out=out)
+def _block_filler(
+    seed, word=0, per_block=_BLOCK, draw=lambda rng, out: rng.standard_normal(out=out)
 ):
-    """Fill row i of ``out`` with the standard normals of replicate start + i,
-    or with what another ``draw(rng, out=block)`` writes into a block of rows.
+    """fill(start, out): row i of ``out`` gets the standard normals of replicate
+    start + i, or what another ``draw(rng, out=block)`` writes into a block of rows.
 
     Block b is one draw of ``per_block`` rows from Philox keyed by ``seed``
     with counter (0, b, word, 0), and replicate r is row r % per_block of
     block r // per_block; ``start`` is a multiple of per_block. With
     per_block = 1, row r is replicate_stream(seed, r)'s first draws. A final
-    partial block is a prefix of the full block's rows.
+    partial block is a prefix of the full block's rows. The generator is
+    built once, here, and each fill only resets its counter, so a filler
+    serves one thread at a time.
     """
     bit_generator = np.random.Philox(key=check_seed(seed))
     rng = np.random.Generator(bit_generator)
@@ -192,17 +197,21 @@ def _normal_rows(
     state.update(buffer_pos=4, has_uint32=0)
     counter = state["state"]["counter"]
     counter[2] = word
-    for i in range(0, len(out), per_block):
-        counter[1] = (start + i) // per_block
-        bit_generator.state = state
-        draw(rng, out=out[i : i + per_block])
+
+    def fill(start, out):
+        for i in range(0, len(out), per_block):
+            counter[1] = (start + i) // per_block
+            bit_generator.state = state
+            draw(rng, out=out[i : i + per_block])
+
+    return fill
 
 
 def _noise_block(design, sigma2, seed, replicates):
     """Noise columns eps (n, R) of R replicates: column r is
     replicate_stream(seed, r)'s first n normals, colored."""
     z = np.empty((replicates, design.n))
-    _normal_rows(seed, 0, z, per_block=1)
+    _block_filler(seed, per_block=1)(0, z)
     return _color(design.w, sigma2, z.T)
 
 
@@ -213,9 +222,14 @@ def _excess(rows, shift, spread):
     return np.einsum("ij,ij->i", rows, rows) + np.einsum("ij,j->i", rows, 2.0 * shift)
 
 
-# Replicates are drawn and reduced in chunks of whole blocks; the buffers of all
-# workers together hold about this many bytes of normals
-_CHUNK_BYTES = 8 * 2**20
+# Replicates are drawn and reduced in chunks of whole blocks, and each worker's
+# chunk holds about this many bytes of normals (at least one block). A chunk is
+# reduced right after it is filled, so it should stay in the core's L2 cache
+# (2 MiB per core on the 2-CPU machine the benchmark runs on). In 4 alternating
+# 10 s perfbench sigma2-study pairs against 512 KiB, 256 KiB chunks took 3.9%
+# longer per round, and 1 MiB chunks took the same time but raised the peak RSS
+# by 1.1 MB; the smallest budget that costs no time holds the least memory
+_CHUNK_BYTES = 2**19
 
 
 def _cpu_count():
@@ -323,21 +337,27 @@ def mc_sigma2_study(
 
     blocks = -(-replicates // _BLOCK)
     workers = min(_cpu_count(), blocks)
-    # the workers' buffers share _CHUNK_BYTES, and every worker gets a chunk
-    chunk_blocks = min(_CHUNK_BYTES // (workers * 8 * _BLOCK * (t + 1)), blocks // workers)
+    # each worker's buffers hold _CHUNK_BYTES, and every worker gets a chunk
+    chunk_blocks = min(_CHUNK_BYTES // (8 * _BLOCK * (t + 1)), blocks // workers)
     chunk = _BLOCK * max(1, chunk_blocks)
-    # worker k's first chunk, which starts at k * chunk, is its longest
-    buffers = [
-        (np.empty((size, t + 1)), np.empty(size))
+    # worker k's first chunk, which starts at k * chunk, is its longest; its
+    # buffers and its own two fillers are built here, before any worker starts
+    per_worker = [
+        (
+            np.empty((size, t + 1)),
+            np.empty(size),
+            _block_filler(seed),
+            _block_filler(seed, word=1, draw=draw_half_chi2),
+        )
         for size in (min(chunk, replicates - k * chunk) for k in range(workers))
     ]
     estimates = np.empty(replicates)
 
     def draw_chunk(worker, start):
-        rows_buffer, gamma_buffer = buffers[worker]
+        rows_buffer, gamma_buffer, fill_rows, fill_gamma = per_worker[worker]
         rows, gamma = rows_buffer[: replicates - start], gamma_buffer[: replicates - start]
-        _normal_rows(seed, start, rows)
-        _normal_rows(seed, start, gamma, word=1, draw=draw_half_chi2)
+        fill_rows(start, rows)
+        fill_gamma(start, gamma)
         excess = _excess(rows, shift, spread) + chi2_scale * gamma
         estimates[start : start + len(rows)] = excess / n
 
@@ -448,10 +468,18 @@ def mc_kappa_study(
         if not ok.any():
             raise EvaluationError(f"selection failed on every replicate in {mode.value} mode")
         kappa_hat, sigma2_hat = found.kappa_hat[ok], found.sigma2_hat[ok]
+        # an overflow gives inf, which the check below rejects
+        with np.errstate(over="ignore"):
+            samples = {
+                "kappa_hat": kappa_hat,
+                "sigma2_hat": sigma2_hat,
+                "sigma_beta2_hat": sigma2_hat / kappa_hat,
+            }
+        for name, values in samples.items():
+            if not np.isfinite(values).all():
+                raise EvaluationError(f"{name} is not finite on every replicate in {mode.value} mode")
         return ModeSummary(
-            kappa_hat=QuantileSummary.from_samples(kappa_hat),
-            sigma2_hat=QuantileSummary.from_samples(sigma2_hat),
-            sigma_beta2_hat=QuantileSummary.from_samples(sigma2_hat / kappa_hat),
+            **{name: QuantileSummary.from_samples(values) for name, values in samples.items()},
             boundary_fraction=float(np.mean(found.boundary_flag[ok] != BoundaryFlag.INTERIOR)),
             failures=int(np.sum(found.failed)),
         )

@@ -159,7 +159,10 @@ class MarginalOperators:
 
     def projected_quad(self, perp, coef):
         """r^T E^-1 r of one residual from its projection (perp, c), shapes (1,) and (1, t)."""
-        return float(_reduce_quad(perp, self.damping[None, :], coef * coef)[0])
+        # an overflow gives inf, which the callers' finiteness checks reject
+        with np.errstate(over="ignore"):
+            coef2 = coef * coef
+        return float(_reduce_quad(perp, self.damping[None, :], coef2)[0])
 
     def expected_noise_quad(self):
         """tr(E^-1 W^-1): E[r^T E^-1 r]/sigma2 under r ~ N(0, W^-1 sigma2)."""

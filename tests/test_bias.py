@@ -349,40 +349,69 @@ class TestSigma2StudyChunks:
         seed, rows = 13, 600
         out, tail = np.empty((rows, n)), np.empty((rows - 512, n))
         for word in (0, 1):
-            ar.bias._normal_rows(seed, 0, out, word)
+            fill = ar.bias._block_filler(seed, word)
+            fill(0, out)
             for b in range(3):
                 full, drawn = _philox_block(seed, b, word, n), out[256 * b : 256 * (b + 1)]
                 assert np.array_equal(drawn, full[: len(drawn)])
                 if word == 0:
                     stream = ar.replicate_stream(seed, b)
                     assert np.array_equal(full, stream.standard_normal((256, n)))
-            # a chunk that starts at block 2 draws what the whole run drew there
-            ar.bias._normal_rows(seed, 512, tail, word)
+            # a chunk that starts at block 2 draws what the whole run drew there,
+            # also from the filler that drew the whole run
+            fill(512, tail)
+            assert np.array_equal(tail, out[512:])
+            ar.bias._block_filler(seed, word)(512, tail)
             assert np.array_equal(tail, out[512:])
         # the chi-square stream, one value per replicate
         chi2 = np.empty(rows)
-        ar.bias._normal_rows(
-            seed, 0, chi2, word=1, draw=lambda rng, out: rng.standard_gamma(n / 2, out=out)
-        )
+        ar.bias._block_filler(
+            seed, word=1, draw=lambda rng, out: rng.standard_gamma(n / 2, out=out)
+        )(0, chi2)
         for b in range(3):
             drawn = 2.0 * chi2[256 * b : 256 * (b + 1)]
             assert np.array_equal(drawn, _chi2_block(seed, b, n)[: len(drawn)])
 
     @pytest.mark.parametrize("mu_mode", ["zero", "true"])
-    def test_peak_memory_below_one_block(self, mu_mode):
+    def test_peak_memory_below_one_block(self, monkeypatch, mu_mode):
         n, t, replicates = 400, 100, 30000
         design, exact = ar.spectrum_problem(n, t, decay=6.0, seed=1)
         truth = ar.GroundTruth.from_design(design, exact)
         prior = ar.default_prior(t, mu=exact)
+        monkeypatch.setattr(ar.bias, "_cpu_count", lambda: 2)
         tracemalloc.start()
         try:
             ar.mc_sigma2_study(design, truth, prior, 1e-6, 1e-4, replicates, 3, mu_mode)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one n x R float64 block; drawing and reducing the whole block at once
-        # held four or five of them
-        assert peak < n * replicates * 8, f"peak traced memory {peak / 2**20:.1f} MiB"
+        # about 2.0 MiB: two workers' chunks of two 256 x 101 blocks (0.8 MiB), the
+        # estimates and the workspace; 8 MiB of chunk buffers read 9.2 MiB
+        assert peak < 3 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
+
+    def test_one_generator_per_worker_and_word(self, monkeypatch):
+        # chunks of one block: 1000 replicates make four chunks, two per worker
+        design, _, prior, truth = tiny_fixture()
+        monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(ar.bias, "_cpu_count", lambda: 2)
+        philox, built = np.random.Philox, []
+
+        def spy_philox(*args, **kwargs):
+            built.append(threading.current_thread())
+            return philox(*args, **kwargs)
+
+        reduce, chunks = ar.bias._excess, []
+
+        def spy_reduce(*args):
+            chunks.append(threading.current_thread())
+            return reduce(*args)
+
+        monkeypatch.setattr(np.random, "Philox", spy_philox)
+        monkeypatch.setattr(ar.bias, "_excess", spy_reduce)
+        ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=1000, seed=2)
+        assert len(chunks) == 4 and len(set(chunks)) == 2
+        # built on the calling thread, before any worker starts
+        assert built == [threading.current_thread()] * 4
 
     @pytest.mark.parametrize("chunk_bytes", [None, 1])
     @pytest.mark.parametrize("shape", [(11, 4), (4, 4)], ids=["n>t", "n=t"])
@@ -428,25 +457,30 @@ class TestSigma2StudyChunks:
         monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 1)
         monkeypatch.setattr(ar.bias, "_cpu_count", lambda: 3)
         errors = {worker: MemoryError(f"worker {worker} failed") for worker in failing}
-        fill, starts, workers_seen, failed = ar.bias._normal_rows, [], set(), []
+        block_filler, starts, workers_seen, failed = ar.bias._block_filler, [], set(), []
         all_failing = threading.Barrier(len(failing))
 
-        def spy_fill(seed, start, out, *args, **kwargs):
-            starts.append(start)
-            workers_seen.add(threading.current_thread())
-            if start // 256 in errors:  # a failing worker's first chunk
-                failed.append(threading.current_thread())
-                all_failing.wait(timeout=10.0)  # so that none stops before it fails
-                raise errors[start // 256]
-            if start == 0:
-                # worker 0 lets the failing workers finish, so it must see their errors
-                deadline = time.monotonic() + 10.0
-                while len(failed) < len(failing) or any(t.is_alive() for t in failed):
-                    assert time.monotonic() < deadline, "a failing worker did not finish"
-                    time.sleep(1e-3)
-            fill(seed, start, out, *args, **kwargs)
+        def spy_filler(*args, **kwargs):
+            fill = block_filler(*args, **kwargs)
 
-        monkeypatch.setattr(ar.bias, "_normal_rows", spy_fill)
+            def spy_fill(start, out):
+                starts.append(start)
+                workers_seen.add(threading.current_thread())
+                if start // 256 in errors:  # a failing worker's first chunk
+                    failed.append(threading.current_thread())
+                    all_failing.wait(timeout=10.0)  # so that none stops before it fails
+                    raise errors[start // 256]
+                if start == 0:
+                    # worker 0 lets the failing workers finish, so it must see their errors
+                    deadline = time.monotonic() + 10.0
+                    while len(failed) < len(failing) or any(t.is_alive() for t in failed):
+                        assert time.monotonic() < deadline, "a failing worker did not finish"
+                        time.sleep(1e-3)
+                fill(start, out)
+
+            return spy_fill
+
+        monkeypatch.setattr(ar.bias, "_block_filler", spy_filler)
         before = set(threading.enumerate())
         with pytest.raises(MemoryError) as raised:
             ar.mc_sigma2_study(design, truth, prior, 1.0, 0.5, replicates=1000, seed=2)
@@ -461,14 +495,19 @@ class TestSigma2StudyChunks:
         design, _, prior, truth = tiny_fixture()
         monkeypatch.setattr(ar.bias, "_CHUNK_BYTES", 1)
         if stage == "draw":
-            error, fill = MemoryError("draw failed"), ar.bias._normal_rows
+            error, block_filler = MemoryError("draw failed"), ar.bias._block_filler
 
-            def spy_fill(seed, start, out, *args, **kwargs):
-                if start > 0:  # the second chunk's fill
-                    raise error
-                fill(seed, start, out, *args, **kwargs)
+            def spy_filler(*args, **kwargs):
+                fill = block_filler(*args, **kwargs)
 
-            monkeypatch.setattr(ar.bias, "_normal_rows", spy_fill)
+                def spy_fill(start, out):
+                    if start > 0:  # the second chunk's fill
+                        raise error
+                    fill(start, out)
+
+                return spy_fill
+
+            monkeypatch.setattr(ar.bias, "_block_filler", spy_filler)
         else:
             error = FloatingPointError("reduction failed")
 
@@ -490,7 +529,7 @@ def _n_dim_sigma2_study(design, truth, prior, sigma2, kappa, replicates, seed, m
     whitened = workspace.w_beta.solve_lower(workspace.w.mul_lower(design.a_matrix, trans=True).T).T
     u, s, vt = np.linalg.svd(whitened, full_matrices=False)
     z = np.empty((replicates, n))
-    ar.bias._normal_rows(seed, 0, z)
+    ar.bias._block_filler(seed)(0, z)
     z *= math.sqrt(sigma2)
     if mu_mode == "zero":
         z += workspace.w.mul_lower(truth.y_bar, trans=True)
@@ -501,7 +540,7 @@ def _n_dim_sigma2_study(design, truth, prior, sigma2, kappa, replicates, seed, m
     if mu_mode == "true":
         # L_W^T A beta_dev = sqrt(sigma2/kappa) U diag(s) V^T z_beta
         prior_normals = np.empty((replicates, t))
-        ar.bias._normal_rows(seed, 0, prior_normals, word=1)
+        ar.bias._block_filler(seed, word=1)(0, prior_normals)
         coef += math.sqrt(sigma2 / kappa) * s[:, None] * (vt @ prior_normals.T)
     damping = kappa / (s * s + kappa)
     return (perp + np.einsum("i,ij,ij->j", damping, coef, coef)) / n

@@ -484,6 +484,7 @@ def _scaled_phillips_8():
 # its largest s^2 is 33.7, so s^2 / kappa overflows at the bottom of the float range
 PHILLIPS_16 = _phillips(16)
 PHILLIPS_8 = _phillips(8)
+PHILLIPS_8_TRUTH = json.dumps({"exact_solution": ar.phillips_problem(8)[1].tolist()})
 LOWEST_BRACKET = "--bracket -307 -306"
 
 
@@ -540,6 +541,14 @@ FUZZ_CASES = [
         0,
     ),
     # a mean of about 1.01 sigma2 exceeds the largest float
+    # the squared projection of ybar overflows, so the analytic signal term is inf
+    fuzz(
+        "bias-sigma2-signal-overflow",
+        f"{BIAS} --study sigma2 --problem {{problem}} --truth {{truth}} --sigma2 1e-4 --kappa 1",
+        2,
+        _scaled_phillips_8(),
+        PHILLIPS_8_TRUTH,
+    ),
     fuzz(
         "bias-sigma2-mean-overflow",
         f"{BIAS_GEN} --study sigma2 --sigma2 1.79e308 --kappa 1 --mu-mode true --seed 1",
@@ -584,6 +593,12 @@ FUZZ_CASES = [
     fuzz("select-sigma2-subnormal", f"{SELECT} --case 2 --sigma2 1e-320", 3, PHILLIPS_8),
     fuzz("sweep-sigma2-subnormal", f"{SWEEP} --case 2 --sigma2 1e-320", 3, PHILLIPS_8),
     fuzz("bias-kappa-sigma2-subnormal", f"{BIAS_GEN} --study kappa --case 2 --sigma2 5e-324", 3),
+    # sigma2_hat / kappa_hat overflows at kappa_hat near 1e-300
+    fuzz(
+        "bias-kappa-sigma-beta2-overflow",
+        f"{BIAS_GEN} --study kappa --sigma2 1e300 --case 2 --bracket -300 -250",
+        3,
+    ),
     fuzz("truth-text", BIAS_FILES, 2, truth='{"exact_solution": "abc"}'),
     fuzz("truth-wrong-length", BIAS_FILES, 2, truth='{"exact_solution": [1.0, 2.0]}'),
     fuzz("truth-missing-key", BIAS_FILES, 2, truth="{}"),

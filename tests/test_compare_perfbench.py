@@ -19,14 +19,14 @@ def _line(value):
     return json.dumps({"correct": True, "failed": 0, "metrics": metrics}) + "\n"
 
 
-def _compare(tmp_path, capsys, parent, change):
+def _compare(tmp_path, capsys, parent, change, *options):
     benchmark = {"end_to_end": [{"name": "round_s", "unit": "s", "better": "lower", "bound": 0.1}]}
     (tmp_path / "benchmark.json").write_text(json.dumps(benchmark))
     (tmp_path / "parent.jsonl").write_text("".join(map(_line, parent)))
     (tmp_path / "change.jsonl").write_text("".join(map(_line, change)))
     code = compare_perfbench.main(
         [str(tmp_path / "parent.jsonl"), str(tmp_path / "change.jsonl"),
-         "--benchmark", str(tmp_path / "benchmark.json")]
+         "--benchmark", str(tmp_path / "benchmark.json"), *options]
     )
     return code, capsys.readouterr().out.splitlines()[-1]
 
@@ -51,3 +51,22 @@ def test_clean_comparison_passes(tmp_path, capsys):
     code, row = _compare(tmp_path, capsys, TIGHT, TIGHT[::-1])
     assert code == 0
     assert "unresolved" not in row and "WORSE" not in row
+
+
+@pytest.mark.parametrize(
+    "parent, change, met",
+    [
+        # better in 6/6 pairs, by 0.05 against a parent quartile distance of 0.015
+        (TIGHT, [v * 0.95 for v in TIGHT], True),
+        # better by 0.095, but a tie counts for neither side: 5/6 is below 9/10
+        (TIGHT, [v * 0.9 for v in TIGHT[:5]] + TIGHT[5:], False),
+        # better in 6/6 pairs, by 0.05 against a parent quartile distance of 0.425
+        (WIDE, [v - 0.05 for v in WIDE], False),
+    ],
+    ids=["met", "win-rate", "spread"],
+)
+def test_claim(tmp_path, capsys, parent, change, met):
+    code, row = _compare(tmp_path, capsys, parent, change, "--claim", "round_s")
+    assert code == (0 if met else 1)
+    assert row.startswith("round_s: better in")
+    assert row.endswith("claim met" if met else "claim not met")
