@@ -60,12 +60,33 @@ def _finite(arr, name):
     return arr
 
 
+_NUMBER_TYPES = {int, float}
+
+
+def _text_or_bool(value):
+    """A text or boolean entry of ``value`` or of its nested lists, or None;
+    np.array would read "1.0" and true as numbers."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, (list, tuple)):
+            if not set(map(type, item)) <= _NUMBER_TYPES:
+                pending.extend(item)
+        elif isinstance(item, (str, bytes, bool, np.bool_)):
+            return item
+    return None
+
+
 def _numeric(value, name):
     """A new float array of ``value``. Every input array is converted here, once
-    per object, so no stored array shares memory with the caller's."""
+    per object, so no stored array shares memory with the caller's. A text or
+    boolean entry is not a number, whatever it spells."""
+    bad = _text_or_bool(value)
+    if bad is not None:
+        raise DimensionError(f"{name} is not a numeric array: {bad!r} is not a number")
     try:
         return np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionError(f"{name} is not a numeric array: {exc}") from exc
 
 
@@ -422,6 +443,7 @@ def condition_estimate(problem):
 
 
 _PROBLEM_KEYS = {"A", "y", "W", "W_beta", "mu", "sigma2", "sigma_beta2"}
+_MATRIX_KEYS = ("A", "W", "W_beta")
 
 
 @dataclass(frozen=True)
@@ -457,9 +479,10 @@ def load_problem(path):
     Keys: ``A`` (row-major nested lists), ``y``, and optionally ``W``,
     ``W_beta``, ``mu``, ``sigma2``, ``sigma_beta2``. Missing weights mean
     identity; a missing ``mu`` means the zero vector, recorded via
-    ``mu_assumed_zero`` on the prior.
+    ``mu_assumed_zero`` on the prior. A file of numbers has its matrices
+    read a block of rows at a time (``serialize.load_numeric``).
     """
-    raw = serialize.load(path)
+    raw = serialize.load_numeric(path, _PROBLEM_KEYS, _MATRIX_KEYS)
     if not isinstance(raw, dict):
         raise DomainError(f"problem file must hold a JSON object, got {type(raw).__name__}")
     unknown = set(raw) - _PROBLEM_KEYS

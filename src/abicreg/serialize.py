@@ -18,6 +18,18 @@ document orjson refuses, one outside strict RFC 8259 (``NaN``,
 ``Infinity``, ``1e400``, an integer too large for a double, a lone
 surrogate escape), is parsed again by the stdlib ``json`` module, so such
 a file reaches the same checks, and fails with the same error, as before.
+
+Matrices are read and written one block of whole rows at a time, about
+``_BLOCK_BYTES`` of text each, so that neither a matrix's text nor its
+nested lists exist whole. ``dump`` writes every 2-d float array under a
+key of a top-level object that way; the file holds the bytes of
+``dumps``. ``load_numeric`` reads a problem file. When the file holds
+nothing but its known keys, numbers and JSON structure, orjson parses
+each matrix a block at a time straight into one float array, and the
+rest of the document (keys, vectors, scalars) in one small call; the
+arrays hold the doubles of the whole parse bit for bit. Any other file,
+and one whose matrix text is not a rectangular array of numbers, is
+parsed whole by ``load``, which gives its values and its errors.
 """
 
 import json
@@ -28,7 +40,16 @@ import orjson
 
 from .errors import DomainError, EvaluationError
 
-__all__ = ["dumps", "dump", "load"]
+__all__ = ["dumps", "dump", "load", "load_numeric"]
+
+# Text of a matrix parsed or written at once; a block ends at the first row end past it.
+_BLOCK_BYTES = 256 * 1024
+# orjson writes a double in at most 24 bytes; 25 with its comma.
+_FLOAT_TEXT_BYTES = 25
+# Every byte a document of numbers holds outside its strings, except "[",
+# which is kept so that each value's rows can be counted.
+_NUMBER_BYTES = b"0123456789.eE+-,]:{} \n\t\r"
+_WHITESPACE = b" \n\t\r"
 
 
 def _check_finite(obj):
@@ -54,23 +75,90 @@ def _default(obj):
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def dumps(obj):
-    """``obj`` as compact JSON bytes with shortest round-trip floats and a final newline."""
-    _check_finite(obj)
+def _encode(obj, option=orjson.OPT_APPEND_NEWLINE):
+    return orjson.dumps(obj, default=_default, option=orjson.OPT_SERIALIZE_NUMPY | option)
+
+
+def _text(obj):
     try:
-        return orjson.dumps(
-            obj, default=_default, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
-        )
+        return _encode(obj)
     except orjson.JSONEncodeError:
         text = json.dumps(obj, default=_default, ensure_ascii=False, separators=(",", ":"))
         return (text + "\n").encode("utf-8")
 
 
+def dumps(obj):
+    """``obj`` as compact JSON bytes with shortest round-trip floats and a final newline."""
+    _check_finite(obj)
+    return _text(obj)
+
+
+def _is_matrix(value):
+    return isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64
+
+
+def _pieces(obj):
+    """The bytes of ``dumps(obj)`` for a finite ``obj``, as bytes and the 2-d
+    float arrays whose JSON text stands in their place."""
+    if not isinstance(obj, dict) or not any(map(_is_matrix, obj.values())):
+        return [_text(obj)]
+    pieces = []
+    try:
+        for index, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                return [_text(obj)]
+            pieces.append((b"," if index else b"{") + _encode(key, 0) + b":")
+            pieces.append(value if _is_matrix(value) else _encode(value, 0))
+    except orjson.JSONEncodeError:
+        # the stdlib then writes the whole document, and its float text may differ
+        return [_text(obj)]
+    pieces.append(b"}\n")
+    return pieces
+
+
+def _write_rows(handle, matrix):
+    """Write ``matrix`` as JSON, one block of whole rows at a time."""
+    rows = max(1, _BLOCK_BYTES // (_FLOAT_TEXT_BYTES * max(matrix.shape[1], 1)))
+    handle.write(b"[")
+    for start in range(0, matrix.shape[0], rows):
+        text = _encode(np.ascontiguousarray(matrix[start : start + rows]), 0)
+        if start:
+            handle.write(b",")
+        handle.write(memoryview(text)[1:-1])
+    handle.write(b"]")
+
+
 def dump(obj, path):
-    """Write ``dumps(obj)`` to ``path``; a document that fails to encode leaves no file."""
-    data = dumps(obj)
+    """Write ``dumps(obj)`` to ``path``; a document that fails to encode leaves no file.
+
+    A 2-d float array under a key of a top-level object is written one
+    block of rows at a time, never as one bytes object.
+    """
+    _check_finite(obj)
+    pieces = _pieces(obj)
     with open(path, "wb") as handle:
-        handle.write(data)
+        for piece in pieces:
+            if isinstance(piece, np.ndarray):
+                _write_rows(handle, piece)
+            else:
+                handle.write(piece)
+
+
+def _read(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _parse(data, path):
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc}") from None
+    return json.loads(text)
 
 
 def load(path):
@@ -82,14 +170,104 @@ def load(path):
     orjson reads an integer beyond 64 bits as the nearest double; the only
     such integer the package writes is a seed, which it never reads back.
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
+    return _parse(_read(path), path)
+
+
+def _between(data, start, stop):
+    """``data[start:stop]`` without the whitespace around it."""
+    return data[start:stop].strip(_WHITESPACE)
+
+
+def _read_rows(data, start, stop, rows):
+    """The matrix whose JSON text is ``data[start:stop]``, from its "[" to its
+    "]", as a float array parsed one block of whole rows at a time; None
+    unless the text is ``rows`` arrays of numbers, all of one length."""
+    first = data.find(b"[", start + 1, stop)
+    last = data.rfind(b"]", start, stop - 1)
+    if first < 0 or last < first or _between(data, start + 1, first):
+        return None
+    if _between(data, last + 1, stop - 1):
+        return None
+    view, out, filled = memoryview(data), None, 0
+    while True:
+        # the text holds only numbers and structure, so each "]" before the last row's ends a row
+        cut = data.find(b"]", first + _BLOCK_BYTES, last)
+        end = last if cut < 0 else cut
+        try:
+            block = np.array(orjson.loads(b"".join((b"[", view[first : end + 1], b"]"))), dtype=float)
+        except (ValueError, TypeError):
+            return None
+        # each entry takes at least two bytes of text, one digit and a "," or "]"
+        if out is None and block.ndim == 2 and 2 * rows * block.shape[1] <= stop - start:
+            out = np.empty((rows, block.shape[1]))
+        if out is None or block.shape[1:] != out.shape[1:] or filled + len(block) > rows:
+            return None
+        out[filled : filled + len(block)] = block
+        filled += len(block)
+        if cut < 0:
+            return out if filled == rows else None
+        first = data.find(b"[", cut + 1, last)
+        if first < 0 or _between(data, cut + 1, first) != b",":
+            return None
+
+
+def _load_blocks(data, keys, matrices):
+    """The object in ``data`` with the values under ``matrices`` read by
+    ``_read_rows``; None unless its only strings are distinct ``keys`` of
+    the object itself and each value under ``matrices`` is a matrix."""
+    # one pass over the file leaves each string without its digits and e's,
+    # followed by the "["s of its value; a text value or a literal leaves more.
+    # translate makes a buffer the size of its input, so it takes a block at a time
+    starts = range(0, len(data), _BLOCK_BYTES)
+    kept = b"".join(data[at : at + _BLOCK_BYTES].translate(None, _NUMBER_BYTES) for at in starts)
+    parts = kept.split(b'"')
+    names, brackets = parts[1::2], parts[2::2]
+    known = {key.encode().translate(None, _NUMBER_BYTES) for key in keys}
+    if parts[0] or not names or len(brackets) < len(names) or len(set(names)) < len(names):
+        return None
+    if not known.issuperset(names) or any(run.strip(b"[") for run in brackets):
+        return None
+    quotes, at = [], -1
+    for _ in range(2 * len(names)):
+        at = data.find(b'"', at + 1)
+        quotes.append(at)
+    wanted = {key.encode() for key in matrices}
+    view, pieces, arrays, done = memoryview(data), [], {}, 0
+    for index, run in enumerate(brackets):
+        opened, closed = quotes[2 * index], quotes[2 * index + 1]
+        last = index + 1 == len(brackets)
+        following = len(data) if last else quotes[2 * index + 2]
+        # a string is a key of the document when a ":" follows it and a "," comes
+        # next before the next string (a "{" would make that one a nested key)
+        stop = data.rfind(b"}" if last else b",", closed, following)
+        if stop < 0 or _between(data, stop + 1, following) or data.find(b":", closed, stop) < 0:
+            return None
+        name = data[opened + 1 : closed]
+        if name not in wanted:
+            continue
+        # whatever lies outside the matrix text is checked by parsing the rest
+        start, end = data.find(b"[", closed, stop), data.rfind(b"]", closed, stop) + 1
+        if start < 0 or end <= start:
+            return None
+        matrix = _read_rows(data, start, end, len(run) - 1)
+        if matrix is None:
+            return None
+        arrays[name.decode()] = matrix
+        pieces += [view[done:start], b"null"]
+        done = end
+    pieces.append(view[done:])
     try:
-        return orjson.loads(data)
+        doc = orjson.loads(b"".join(pieces))
     except orjson.JSONDecodeError:
-        pass
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path} is not UTF-8 text: {exc}") from None
-    return json.loads(text)
+        return None
+    doc.update(arrays)
+    return doc
+
+
+def load_numeric(path, keys, matrices):
+    """The JSON document in the file at ``path``, its values under
+    ``matrices`` as float arrays read a block of rows at a time when the
+    file is an object of ``keys`` that holds numbers only; else ``load(path)``."""
+    data = _read(path)
+    doc = _load_blocks(data, keys, matrices)
+    return _parse(data, path) if doc is None else doc

@@ -47,6 +47,29 @@ TEXT_ARRAYS = {
     "W_beta": [["x"]],
     "mu": ["x"],
 }
+# text that spells a number and booleans, which np.array would read as numbers
+NUMERIC_TEXT_ARRAYS = {
+    "A": [[1.0], ["2.0"]],
+    "y": [1.0, "3"],
+    "W": [[1.0, 0.0], [0.0, "1.0"]],
+    "W_beta": [["1.0"]],
+    "mu": ["1.0"],
+}
+BOOL_ARRAYS = {
+    "A": [[True], [2.0]],
+    "y": [1.0, True],
+    "W": [[1.0, False], [False, 1.0]],
+    "W_beta": [[True]],
+    "mu": [False],
+}
+# an integer beyond the double range, which the stdlib parser reads as a Python int
+HUGE_INT_ARRAYS = {
+    "A": [[1.0], [10**400]],
+    "y": [1.0, -(10**400)],
+    "W": [[1.0, 0.0], [0.0, 10**400]],
+    "W_beta": [[10**400]],
+    "mu": [10**400],
+}
 RAGGED_ARRAYS = {
     "A": [[1.0], [2.0, 3.0]],
     "y": [1.0, [3.0]],

@@ -8,7 +8,14 @@ import pytest
 import abicreg as ar
 from abicreg import _linalg, cli
 from abicreg.selection import DEFAULT_BRACKET, DEFAULT_REL_TOL
-from conftest import RAGGED_ARRAYS, TEXT_ARRAYS, cli_invocation
+from conftest import (
+    BOOL_ARRAYS,
+    HUGE_INT_ARRAYS,
+    NUMERIC_TEXT_ARRAYS,
+    RAGGED_ARRAYS,
+    TEXT_ARRAYS,
+    cli_invocation,
+)
 
 
 def run_cli(*args, cwd):
@@ -575,7 +582,13 @@ FUZZ_CASES = [
     fuzz("text-a", SELECT, 2, {"A": "x"}),
     *(
         fuzz(f"{kind}-entry-{key}", SELECT, 2, {key: arrays[key]})
-        for kind, arrays in (("text", TEXT_ARRAYS), ("ragged", RAGGED_ARRAYS))
+        for kind, arrays in (
+            ("text", TEXT_ARRAYS),
+            ("ragged", RAGGED_ARRAYS),
+            ("numeric-text", NUMERIC_TEXT_ARRAYS),
+            ("bool", BOOL_ARRAYS),
+            ("huge-int", HUGE_INT_ARRAYS),
+        )
         for key in arrays
     ),
     fuzz("mu-wrong-length", f"{SOLVE} bayes", 2, {"mu": [1.0, 2.0]}),

@@ -8,6 +8,7 @@ import abicreg as ar
 from abicreg.marginal import kappa_grid
 from abicreg.selection import DEFAULT_BRACKET
 from abicreg.serialize import dump, dumps, load
+from conftest import random_fixture
 
 
 def bits(values):
@@ -92,3 +93,62 @@ def test_save_problem_fortran_design_round_trips(tmp_path):
     assert np.array_equal(bits(loaded.problem.a_matrix), bits(a))
     assert np.array_equal(bits(loaded.problem.y), bits(problem.y))
     assert np.array_equal(bits(loaded.problem.w.matrix), bits(problem.w.matrix))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 64, 4096, None], ids=["one-row", "64", "4096", "default"])
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (7, 0), (0, 4), (60, 2), (30, 30), (9000, 2)])
+def test_dump_writes_matrices_in_row_blocks_with_the_bytes_of_dumps(tmp_path, monkeypatch, shape, block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(ar.serialize, "_BLOCK_BYTES", block_bytes)
+    encode, encoded = ar.serialize._encode, []
+
+    def spy(obj, *args):
+        if isinstance(obj, np.ndarray) and obj.ndim == 2:
+            encoded.append(len(obj))
+        return encode(obj, *args)
+
+    monkeypatch.setattr(ar.serialize, "_encode", spy)
+    rng = np.random.default_rng(shape[0])
+    matrix = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    matrix[:1, :1] = -0.0
+    doc = {
+        "A": matrix,
+        "y": rng.standard_normal(shape[0]),
+        "fortran": np.asfortranarray(matrix),
+        "strided": matrix[::2, ::-1],
+        "sigma2": 0.5,
+        "last": matrix,
+    }
+    path = tmp_path / "doc.json"
+    dump(doc, path)
+    assert path.read_bytes() == dumps(doc)
+    if block_bytes == 1:
+        assert set(encoded) <= {1}
+
+
+@pytest.mark.parametrize("block_bytes", [1, 500, None], ids=["one-row", "500", "default"])
+def test_save_problem_writes_the_bytes_of_dumps(tmp_path, monkeypatch, block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(ar.serialize, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(6)
+    problem, prior = random_fixture(rng, 30, 6)
+    path = tmp_path / "p.json"
+    ar.save_problem(path, problem, prior, sigma2=0.25, sigma_beta2=2.0)
+    doc = {
+        "A": problem.a_matrix,
+        "y": problem.y,
+        "W": problem.w.matrix,
+        "W_beta": prior.w_beta.matrix,
+        "mu": prior.mu,
+        "sigma2": 0.25,
+        "sigma_beta2": 2.0,
+    }
+    assert path.read_bytes() == dumps(doc)
+
+
+def test_a_document_the_stdlib_writes_keeps_its_bytes(tmp_path):
+    # a seed beyond 64 bits sends the whole document, matrix too, to the stdlib writer
+    doc = {"A": np.array([[1e-5, 0.1]]), "seed": 2**128 - 1}
+    path = tmp_path / "doc.json"
+    dump(doc, path)
+    assert path.read_bytes() == dumps(doc) == b'{"A":[[1e-05,0.1]],"seed":340282366920938463463374607431768211455}\n'
