@@ -29,7 +29,13 @@ z = L_W^T r and c = U^T z:
     E^-1 r        = L_W ((z - U c) + U (d * c))
 
 with the damping d = kappa / (s^2 + kappa). MarginalWorkspace._filter
-computes d and ln det E, for every kappa a bracket admits.
+computes d, its complement e = s^2 / (s^2 + kappa) and ln det E, for every
+kappa a bracket admits. Since d' = d e in ln kappa, the slope and the
+curvature of either objective in ln kappa follow from the same filter in
+O(t) (_reduce_slopes):
+
+    q'  = sum d e c^2,           (ln det E)'  = -sum e,
+    q'' = sum d e (e - d) c^2,   (ln det E)'' =  sum d e.
 
 U itself is never formed. The workspace takes a Householder QR of the
 whitened design, L_W^T A L_b^-T = Q [R; 0], keeps Q as its t reflectors
@@ -39,6 +45,13 @@ also runs for a tall matrix before it forms U). Then c = U_R^T (Q^T z)[:t]
 and |z - U c|^2 = |(Q^T z)[t:]|^2, the least-squares residual of the QR,
 which never cancels: not |z|^2 - |c|^2, which loses every digit when r
 lies almost in the range of A.
+
+A square whitened design that equals its transpose bit for bit, as a
+Fredholm kernel discretized on one shared grid does with identity
+weights, is eigendecomposed instead: with L_W^T A L_b^-T = Q_e diag(lam)
+Q_e^T, the SVD is s = |lam|, V = Q_e and U_R = Q_e sign(lam) (sign(0) is
++1), ordered by |lam| descending. LAPACK's symmetric solver takes about
+half the time of the general SVD; every other design keeps the SVD.
 
 The same decomposition gives the point estimates. The minimizer of
 (r - A x)^T W (r - A x) + kappa x^T W_beta x is
@@ -138,7 +151,7 @@ class MarginalOperators:
         self._ws = workspace
         self.kappa = float(kappa)
         self.n, self.t = workspace.n, workspace.t
-        damping, logdet = workspace._filter(np.array([self.kappa]))
+        damping, _, logdet = workspace._filter(np.array([self.kappa]))
         # kappa / (s^2 + kappa): the share of each singular direction E^-1 keeps
         self.damping = damping[0]
         self.logdet = float(logdet[0])
@@ -183,6 +196,11 @@ class MarginalWorkspace:
     it. U = Q[:, :t] U_R is never formed. Nothing that depends on kappa
     is cached here. Where s^2 overflows (s above about 1.34e154, indexed by
     ``_huge``), ``_log_s2`` holds ln s^2 as 2 ln s.
+
+    When n = t and the whitened design equals its transpose exactly
+    (``np.array_equal``, O(t^2)), the SVD comes from ``np.linalg.eigh``
+    (module docstring); the fields keep their meaning. A LinAlgError of
+    either decomposition raises FactorizationError.
     """
 
     def __init__(self, problem, w_beta=None):
@@ -205,7 +223,10 @@ class MarginalWorkspace:
                 np.fill_diagonal(self._reflectors, 1.0)  # each reflector's implicit leading 1
             else:
                 self._reflectors, self._tau, triangle = np.empty((0, self.n)), np.empty(0), whitened
-            u_r, self.s, self.vt = np.linalg.svd(triangle)
+            if self.n == self.t and np.array_equal(whitened, whitened.T):
+                u_r, self.s, self.vt = _symmetric_svd(whitened)
+            else:
+                u_r, self.s, self.vt = np.linalg.svd(triangle)
         except np.linalg.LinAlgError as exc:
             raise FactorizationError(f"SVD of the whitened design failed: {exc}") from exc
         # Fortran order makes U_R^T the C-ordered view that _split reduces along
@@ -221,16 +242,23 @@ class MarginalWorkspace:
         return MarginalOperators(self, kappa)
 
     def _filter(self, kappa):
-        """(kappa / (s^2 + kappa), ln det E) at a 1-D array of K kappas, (K, t)
-        and (K,). log1p(s^2 / kappa) is ln s^2 - ln kappa where s^2 / kappa
-        overflows; 1 is then below half an ulp of s^2 / kappa."""
+        """(d, e, ln det E) at a 1-D array of K kappas, (K, t), (K, t) and (K,):
+        the damping d = kappa / (s^2 + kappa) and its complement
+        e = s^2 / (s^2 + kappa), never formed as 1 - d, whose relative error is
+        about eps / e. e is 1 where s^2 overflows. log1p(s^2 / kappa) is
+        ln s^2 - ln kappa where s^2 / kappa overflows; 1 is then below half an
+        ulp of s^2 / kappa."""
         kappa = kappa[:, None]
         with np.errstate(over="ignore"):
             ratio = self.s2 / kappa
         terms = np.log1p(ratio)
         rows, cols = np.nonzero(np.isinf(ratio))
         terms[rows, cols] = self._log_s2[cols] - np.log(kappa[rows, 0])
-        return kappa / (self.s2 + kappa), terms.sum(axis=1) - self.w.logdet
+        total = self.s2 + kappa
+        with np.errstate(invalid="ignore"):
+            complement = self.s2 / total
+        complement[:, self._huge] = 1.0
+        return kappa / total, complement, terms.sum(axis=1) - self.w.logdet
 
     def penalized_solution(self, residual, kappa):
         """L_b^-T V diag(s / (s^2 + kappa)) U^T L_W^T r, the minimizer of
@@ -285,9 +313,45 @@ class MarginalWorkspace:
         return np.einsum("rn,rn->r", tail, tail), coef
 
 
+def _symmetric_svd(whitened):
+    """(U_R, s, V^T) of a symmetric matrix from its eigendecomposition Q diag(lam) Q^T:
+    s = |lam| in descending order (a stable sort), V = Q, U_R = Q sign(lam), sign(0) = +1."""
+    lam, q = np.linalg.eigh(whitened)
+    order = np.argsort(-np.abs(lam), kind="stable")
+    lam, q = lam[order], q[:, order]
+    return q * np.where(lam < 0.0, -1.0, 1.0), np.abs(lam), q.T
+
+
 def _reduce_quad(perp, damping, coef2):
     """perp + sum_i d_i c_i^2 = r^T E^-1 r of K projected residuals, each alike for any K."""
     return perp + np.einsum("ki,ki->k", damping, coef2)
+
+
+def _reduce_slopes(perp, damping, complement, coef2, n, sigma2):
+    """(q, f', f'') of K projected residuals, each (K,) and alike for any K: q is
+    _reduce_quad's r^T E^-1 r, and f' and f'' are the slope and the curvature in
+    ln kappa of the Case-1 objective n ln q + ln det E (``sigma2`` None) or of
+    the Case-2 objective q / sigma2 + ln det E. With d' = d e:
+
+        Case 1: f' = n q'/q - sum e,        f'' = n (q''/q - (q'/q)^2) + sum d e
+        Case 2: f' = q'/sigma2 - sum e,     f'' = q''/sigma2 + sum d e
+
+    where q' = sum d e c^2 and q'' = sum d e (e - d) c^2. Every sum runs along
+    its row. An overflow or a zero q gives inf or nan, which the search treats
+    as no information."""
+    shared = damping * complement
+    quad = _reduce_quad(perp, damping, coef2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slope_q = np.einsum("ki,ki->k", shared, coef2)
+        curve_q = np.einsum("ki,ki->k", shared * (complement - damping), coef2)
+        if sigma2 is None:
+            ratio = slope_q / quad
+            slope_q, curve_q = n * ratio, n * (curve_q / quad - ratio * ratio)
+        else:
+            slope_q, curve_q = slope_q / sigma2, curve_q / sigma2
+        slope = slope_q - np.einsum("ki->k", complement)
+        curvature = curve_q + np.einsum("ki->k", shared)
+    return quad, slope, curvature
 
 
 def _case_tag(prior, case1):
@@ -338,27 +402,40 @@ class MarginalObjective:
         with np.errstate(over="ignore"):
             self._coef2 = coef * coef
 
+    def _total(self, quad, logdet):
+        """The objective without offset from the quad of the scaled residuals and ln det E."""
+        if self.sigma2 is not None:
+            # a subnormal sigma2 overflows this to inf, which the selection and the writers reject
+            with np.errstate(over="ignore"):
+                return quad / self.sigma2 + logdet
+        # quad underflows to 0 only for kappa near the smallest float
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(quad > 0.0, self.workspace.n * np.log(quad) + logdet, np.inf)
+
     def _terms(self, kappa, columns):
         """(quad of the scaled residuals, ln det E, objective without offset)."""
-        damping, logdet = self.workspace._filter(kappa)
+        damping, _, logdet = self.workspace._filter(kappa)
         if columns is None:
             quad = self._perp + np.einsum("ki,ri->kr", damping, self._coef2)
             logdet = logdet[:, None]
         else:
             quad = _reduce_quad(self._perp[columns], damping, self._coef2[columns])
-        if self.sigma2 is not None:
-            # a subnormal sigma2 overflows this to inf, which the selection and the writers reject
-            with np.errstate(over="ignore"):
-                return quad, logdet, quad / self.sigma2 + logdet
-        # quad underflows to 0 only for kappa near the smallest float
-        with np.errstate(divide="ignore", invalid="ignore"):
-            total = np.where(quad > 0.0, self.workspace.n * np.log(quad) + logdet, np.inf)
-        return quad, logdet, total
+        return quad, logdet, self._total(quad, logdet)
 
     def search_total(self, kappa, columns=None):
         """The objective without ``offset`` at a 1-D array of K kappas: (K, R)
         for every column, or (K,) for kappa[j] on column columns[j]."""
         return self._terms(np.asarray(kappa, dtype=float), columns)[2]
+
+    def search_slopes(self, kappa, columns):
+        """(objective without ``offset``, f', f'') at kappa[j] on column columns[j],
+        each (K,): ``search_total`` with its slope and curvature in ln kappa."""
+        damping, complement, logdet = self.workspace._filter(np.asarray(kappa, dtype=float))
+        quad, slope, curvature = _reduce_slopes(
+            self._perp[columns], damping, complement, self._coef2[columns],
+            self.workspace.n, self.sigma2,
+        )
+        return self._total(quad, logdet), slope, curvature
 
     def __call__(self, kappa, columns=None):
         """ObjectiveValue of arrays shaped as in ``search_total``."""

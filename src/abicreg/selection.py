@@ -1,16 +1,28 @@
 """Selection of the relative weight kappa by scalar objective minimization.
 
 The search is deliberately plain: evaluate the objective on a 97-point
-uniform grid in log10 kappa, then refine the bracketing triple of the
-grid minimum by golden-section search. A minimum on the first or last
-grid point is reported with a boundary flag instead of refined, because
-an edge optimum usually means the bracket, not the data, chose it.
+uniform grid in log10 kappa, then refine the grid minimum inside its
+bracketing triple by safeguarded Newton steps in ln kappa (Nocedal and
+Wright, "Numerical Optimization", ch. 3; Brent, 1973). Each step reads
+the objective's exact slope and curvature (MarginalObjective.search_slopes),
+shrinks the bracket by the sign of the slope, and takes the Newton point
+where the curvature is positive and the point lies inside the bracket,
+else the bracket's midpoint. A column stops once its step is below
+ln(1 + rel_tol), usually after 4-5 steps. The reported kappa_hat is the
+lowest objective seen, so objective_at_min never exceeds the grid
+minimum, and the curvature there gives the Laplace width sqrt(2 / f'')
+of ln kappa. A minimum on the first or last grid point is reported with
+a boundary flag instead of refined, because an edge optimum usually
+means the bracket, not the data, chose it.
 
 One loop does this for R objectives in lockstep: one grid evaluation of
-all R columns, then refinement steps that move every column still wider
-than the tolerance. A column's steps depend only on its own values, so
+all R columns, then Newton steps that move every column not yet
+converged. A column's steps depend only on its own values, so
 select_case1 (R = 1) and a study of R replicates choose alike. There is
 no randomness here; identical inputs give bit-identical results.
+
+minimize_scalar takes a black-box callable, which has no derivatives; it
+keeps the same grid and refines by golden section.
 """
 
 import enum
@@ -41,6 +53,7 @@ __all__ = [
 DEFAULT_REL_TOL = 1e-6
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_LN10 = math.log(10.0)
 _MAX_REFINE_STEPS = 200
 
 
@@ -66,7 +79,10 @@ class SelectionResult:
     ``trace`` is the grid of (kappa, objective) pairs the optimizer saw,
     and ``mu_assumed_zero`` records whether the prior mean was a
     substituted zero vector (the scenario whose bias this package
-    quantifies).
+    quantifies). ``ln_kappa_width`` is sqrt(2 / f'') at an interior
+    kappa_hat, f'' the objective's curvature in ln kappa: how far ln kappa
+    may move before the objective rises by one. It is None at an edge or
+    where f'' is not positive.
     """
 
     kappa_hat: float
@@ -77,10 +93,12 @@ class SelectionResult:
     boundary_flag: BoundaryFlag
     mu_assumed_zero: bool
     case_tag: ObjectiveCase
+    ln_kappa_width: float = None
 
     def to_json(self):
         return {
             "kappa_hat": self.kappa_hat,
+            "ln_kappa_width": self.ln_kappa_width,
             "sigma2_hat": self.sigma2_hat,
             "sigma_beta2_hat": self.sigma_beta2_hat,
             "objective_at_min": self.objective_at_min,
@@ -96,7 +114,8 @@ class SelectionResult:
 class ColumnMinima(NamedTuple):
     """One lockstep search over R columns, as arrays: ``values`` is the
     (K, R) grid objective, +inf where it was not finite. A column fails
-    when more than half of its grid is non-finite."""
+    when more than half of its grid is non-finite. ``ln_kappa_width`` is
+    sqrt(2 / f'') at each kappa_hat, nan where SelectionResult's is None."""
 
     kappa_hat: np.ndarray
     objective_at_min: np.ndarray
@@ -105,6 +124,7 @@ class ColumnMinima(NamedTuple):
     values: np.ndarray
     failed: np.ndarray
     sigma2_hat: np.ndarray = None
+    ln_kappa_width: np.ndarray = None
 
     def scalar(self, column=0):
         """ScalarMinimum of one column; raises EvaluationError if it failed."""
@@ -120,12 +140,10 @@ def _as_finite(values):
     return np.where(np.isfinite(values), values, np.inf)
 
 
-def _search(objective, columns, log10_bracket, rel_tol):
-    """Grid-then-golden-section minimization of R functions of kappa in lockstep.
-
-    ``objective`` works as MarginalObjective.search_total. Grid ties break
-    toward smaller kappa; an edge minimum is returned unrefined.
-    """
+def _grid(objective, columns, log10_bracket, rel_tol):
+    """The grid stage of both searches: (log10 grid, kappas, (K, R) values,
+    failed, grid argmin per column, boundary flags). ``objective`` works as
+    MarginalObjective.search_total; grid ties break toward smaller kappa."""
     grid, kappas = kappa_grid(log10_bracket, GRID_POINTS)
     if not rel_tol > 0:
         raise DomainError(f"rel_tol must be positive, got {rel_tol}")
@@ -133,57 +151,99 @@ def _search(objective, columns, log10_bracket, rel_tol):
     failed = 2 * np.sum(np.isinf(values), axis=0) > GRID_POINTS
     # argmin takes the first minimal index: the smallest kappa among ties
     index = np.argmin(values, axis=0)
-    best_log = grid[index]
-    best_val = values[index, np.arange(columns)]
-    cols = np.flatnonzero((index > 0) & (index < GRID_POINTS - 1) & ~failed)
-
-    def evaluate(points, at):
-        value = _as_finite(objective(log10_to_kappa(points), cols[at]))
-        better = value < best_val[cols[at]]
-        best_log[cols[at[better]]] = points[better]
-        best_val[cols[at[better]]] = value[better]
-        return value
-
-    # golden-section refinement on each bracketing triple, in log10 space
-    a, b = grid[index[cols] - 1], grid[index[cols] + 1]
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    every = np.arange(cols.size)
-    fc = evaluate(c, every)
-    fd = evaluate(d, every)
-    width_tol = math.log10(1.0 + rel_tol)
-    live = every[(b - a) > width_tol]
-    steps = 0
-    while live.size and steps < _MAX_REFINE_STEPS:
-        left = fc[live] < fd[live]
-        lo = np.where(left, a[live], c[live])
-        hi = np.where(left, d[live], b[live])
-        kept = np.where(left, c[live], d[live])
-        f_kept = np.where(left, fc[live], fd[live])
-        new = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
-        f_new = evaluate(new, live)
-        a[live], b[live] = lo, hi
-        c[live], d[live] = np.where(left, new, kept), np.where(left, kept, new)
-        fc[live], fd[live] = np.where(left, f_new, f_kept), np.where(left, f_kept, f_new)
-        live = live[(hi - lo) > width_tol]
-        steps += 1
     flags = np.full(columns, BoundaryFlag.INTERIOR)
     flags[index == 0] = BoundaryFlag.LOWER_EDGE
     flags[index == GRID_POINTS - 1] = BoundaryFlag.UPPER_EDGE
-    return ColumnMinima(log10_to_kappa(best_log), best_val, flags, kappas, values, failed)
+    return grid, kappas, values, failed, index, flags
+
+
+def _search(objective, log10_bracket, rel_tol):
+    """Grid-then-Newton minimization of a MarginalObjective's R columns in lockstep,
+    without its offset. An edge minimum is returned unrefined."""
+    columns = objective.columns
+    grid, kappas, values, failed, index, flags = _grid(
+        objective.search_total, columns, log10_bracket, rel_tol
+    )
+    best_log = grid[index]
+    best_val = values[index, np.arange(columns)]
+    best_curv = np.full(columns, np.nan)
+    cols = np.flatnonzero((index > 0) & (index < GRID_POINTS - 1) & ~failed)
+
+    # safeguarded Newton from the grid minimum inside its bracketing triple, in
+    # log10 kappa: a step of -f' / f'' in ln kappa is -f' / (f'' ln 10) here
+    a, b = grid[index[cols] - 1], grid[index[cols] + 1]
+    x = best_log[cols]
+    step_tol = math.log10(1.0 + rel_tol)
+    live = np.arange(cols.size)
+    steps = 0
+    while live.size and steps < _MAX_REFINE_STEPS:
+        at, here = cols[live], x[live]
+        value, slope, curvature = objective.search_slopes(log10_to_kappa(here), at)
+        value = _as_finite(value)
+        better = value < best_val[at]
+        best_log[at[better]], best_val[at[better]] = here[better], value[better]
+        # the grid minimum's own curvature stands until a step improves on it
+        has_curv = better | (steps == 0)
+        best_curv[at[has_curv]] = curvature[has_curv]
+        lo = np.where(slope < 0, here, a[live])
+        hi = np.where(slope > 0, here, b[live])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = here - slope / (curvature * _LN10)
+        inside = (curvature > 0) & (lo < newton) & (newton < hi)
+        new = np.where(inside, newton, 0.5 * (lo + hi))
+        a[live], b[live], x[live] = lo, hi, new
+        live = live[np.abs(new - here) >= step_tol]
+        steps += 1
+    # nan where f'' is not positive, or so small that the width overflows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        width = np.sqrt(2.0 / best_curv)
+    width[~np.isfinite(width)] = np.nan
+    kappa_hat = log10_to_kappa(best_log)
+    return ColumnMinima(kappa_hat, best_val, flags, kappas, values, failed, ln_kappa_width=width)
 
 
 def minimize_scalar(objective, log10_bracket=DEFAULT_BRACKET, rel_tol=DEFAULT_REL_TOL):
     """Grid-then-golden-section minimization of ``objective``, which maps kappa > 0
     to a float (inf or nan where undefined), over ``log10_bracket`` to relative
-    tolerance ``rel_tol`` on kappa: the lockstep search with R = 1. Returns a
-    ScalarMinimum; raises EvaluationError when over half the grid is non-finite."""
+    tolerance ``rel_tol`` on kappa. Returns a ScalarMinimum; raises
+    EvaluationError when over half the grid is non-finite."""
 
     def lifted(kappas, cols):
-        values = np.array([float(objective(kappa)) for kappa in kappas.tolist()])
-        return values[:, None] if cols is None else values
+        return np.array([float(objective(kappa)) for kappa in kappas.tolist()])[:, None]
 
-    return _search(lifted, 1, log10_bracket, rel_tol).scalar()
+    grid, kappas, values, failed, index, flags = _grid(lifted, 1, log10_bracket, rel_tol)
+    i = int(index[0])
+    best_val, best_log = float(values[i, 0]), float(grid[i])
+
+    def evaluate(point):
+        nonlocal best_val, best_log
+        value = float(objective(10.0**point))
+        value = value if math.isfinite(value) else math.inf
+        if value < best_val:
+            best_val, best_log = value, point
+        return value
+
+    if 0 < i < GRID_POINTS - 1 and not failed[0]:
+        # golden section on the bracketing triple, in log10 space
+        a, b = float(grid[i - 1]), float(grid[i + 1])
+        c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+        fc, fd = evaluate(c), evaluate(d)
+        width_tol = math.log10(1.0 + rel_tol)
+        steps = 0
+        while b - a > width_tol and steps < _MAX_REFINE_STEPS:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - _INV_PHI * (b - a)
+                fc = evaluate(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _INV_PHI * (b - a)
+                fd = evaluate(d)
+            steps += 1
+    found = ColumnMinima(
+        log10_to_kappa([best_log]), np.array([best_val]), flags, kappas, values, failed
+    )
+    return found.scalar()
 
 
 def select_columns(objective, log10_bracket=DEFAULT_BRACKET, rel_tol=DEFAULT_REL_TOL):
@@ -192,7 +252,7 @@ def select_columns(objective, log10_bracket=DEFAULT_BRACKET, rel_tol=DEFAULT_REL
     The values include the Case-1 offset; sigma2_hat is r^T E^-1 r / n at
     kappa_hat, or the known sigma2. A failed column is flagged, not raised.
     """
-    found = _search(objective.search_total, objective.columns, log10_bracket, rel_tol)
+    found = _search(objective, log10_bracket, rel_tol)
     if objective.sigma2 is None:
         with np.errstate(all="ignore"):
             quad = objective(found.kappa_hat, np.arange(objective.columns)).quad_term
@@ -212,12 +272,14 @@ def _select(problem, prior, sigma2, log10_bracket, rel_tol):
     selected = select_columns(objective, log10_bracket, rel_tol)
     found = selected.scalar()
     variance = float(selected.sigma2_hat[0])
+    width = float(selected.ln_kappa_width[0])
     return SelectionResult(
         **found._asdict(),
         sigma2_hat=variance,
         sigma_beta2_hat=variance / found.kappa_hat,
         mu_assumed_zero=prior.mu_assumed_zero,
         case_tag=objective.case_tag,
+        ln_kappa_width=width if math.isfinite(width) else None,
     )
 
 

@@ -721,18 +721,41 @@ class TestOverflow:
         assert json.loads(stderr)["error"]["category"] == "numeric"
 
 
-class TestSvdFailure:
-    @pytest.mark.parametrize("argv", ["select-kappa", "solve --method ls"])
-    def test_exits_3(self, generated, tmp_path, capsys, monkeypatch, argv):
-        def failing_svd(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+@pytest.fixture(scope="module")
+def spectrum_24x6(tmp_path_factory):
+    """A tall problem file, whose workspace takes the SVD route."""
+    root = tmp_path_factory.mktemp("spectrum24")
+    argv = ["generate", "--kind", "spectrum", "--n", "24", "--t", "6", "--decay", "3"]
+    assert cli.main([*argv, "--sigma2", "1e-4", "--seed", "3", "--out", str(root / "gen")]) == 0
+    return root / "gen" / "problem.json"
 
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
-        problem = generated / "gen" / "problem.json"
+
+class TestSvdFailure:
+    """A failing decomposition exits 3 on either route: the SVD on a tall design,
+    eigh on the symmetric Phillips design."""
+
+    @staticmethod
+    def _assert_exits_3(argv, problem, tmp_path, capsys):
         exit_code = cli.main([*argv.split(), "--problem", str(problem), "--out", str(tmp_path)])
         stderr = capsys.readouterr().err
         assert exit_code == 3, stderr
         assert json.loads(stderr)["error"]["category"] == "numeric"
+
+    @pytest.mark.parametrize("argv", ["select-kappa", "solve --method ls"])
+    def test_exits_3(self, spectrum_24x6, tmp_path, capsys, monkeypatch, argv):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        self._assert_exits_3(argv, spectrum_24x6, tmp_path, capsys)
+
+    @pytest.mark.parametrize("argv", ["select-kappa", "sweep"])
+    def test_failing_eigh_exits_3(self, generated, tmp_path, capsys, monkeypatch, argv):
+        def failing_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        self._assert_exits_3(argv, generated / "gen" / "problem.json", tmp_path, capsys)
 
 
 # Runs in a child process where `import scipy` fails: every subcommand, on a

@@ -69,3 +69,22 @@ def test_prior_mean_shift_leaves_selection_unchanged(drawn):
     delta = rng.standard_normal(problem.t)
     shifted = ar.InverseProblem(problem.a_matrix, problem.y + problem.a_matrix @ delta)
     assert_same_selection(problem, prior, shifted, ar.default_prior(problem.t, mu=prior.mu + delta))
+
+
+def test_flat_minimum_moves_by_far_less_than_its_width():
+    # n = 9, t = 8: the Case-1 minimum is so flat that an orthogonal rotation of A
+    # and y alone moves kappa_hat by about a third; ln_kappa_width shows why
+    rng = np.random.default_rng(1555)
+    cond = 10.0 ** rng.uniform(0.0, 6.0)
+    design = random_design(rng, 9, 8, cond=cond, identity_w=True)
+    problem = design.with_observations(rng.standard_normal(9))
+    prior = ar.default_prior(8, mu=rng.standard_normal(8))
+    q = np.linalg.qr(rng.standard_normal((9, 9)))[0]
+    rotated = ar.InverseProblem(q @ problem.a_matrix, q @ problem.y)
+    first, second = ar.select_case1(problem, prior), ar.select_case1(rotated, prior)
+    assert first.boundary_flag is second.boundary_flag is ar.BoundaryFlag.INTERIOR
+    # the data fix ln kappa only to within about 6e7: near kappa 5e11 the objective
+    # still falls, by f' = -5e-16 per unit of ln kappa, and rounding ends the search
+    assert first.ln_kappa_width > 1e6 and second.ln_kappa_width > 1e6
+    move = abs(np.log(second.kappa_hat / first.kappa_hat))
+    assert move <= 1e-3 * min(first.ln_kappa_width, second.ln_kappa_width)

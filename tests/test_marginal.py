@@ -211,6 +211,106 @@ class TestSvdFailure:
             ar.condition_estimate(problem)
 
 
+def _dense_mp(problem, prior):
+    """mpmath copies (W, W_beta, A, r) of a problem, at the caller's precision."""
+    return (
+        mp.matrix(problem.w.to_array().tolist()),
+        mp.matrix(prior.w_beta.to_array().tolist()),
+        mp.matrix(problem.a_matrix.tolist()),
+        mp.matrix((problem.y - problem.a_matrix @ prior.mu).tolist()),
+    )
+
+
+def _dense_objective_mp(problem, prior, sigma2, kappa):
+    """The Case-1 or Case-2 objective at an mpmath kappa, from dense matrices: with
+    M = kappa W_beta + A^T W A and b = A^T W r, Woodbury and the determinant lemma give
+    q = r^T W r - b^T M^-1 b and ln det E = ln det M - t ln kappa - ln det W_beta - ln det W."""
+    w, w_beta, a, r = _dense_mp(problem, prior)
+    gram, b = a.T * w * a, a.T * w * r
+    m = kappa * w_beta + gram
+    quad = (r.T * w * r)[0] - (b.T * mp.lu_solve(m, b))[0]
+    logdet = mp.log(mp.det(m)) - problem.t * mp.log(kappa) - mp.log(mp.det(w_beta)) - mp.log(mp.det(w))
+    return (problem.n * mp.log(quad) if sigma2 is None else quad / sigma2) + logdet
+
+
+def _slope_reference(problem, prior, sigma2, kappa):
+    """(f', f'', scale of f' terms, scale of f'' terms) in ln kappa of
+    _dense_objective_mp at 50 digits, by differentiating its two parts in closed form:
+
+        q'  = kappa b^T M^-1 W_beta M^-1 b
+        q'' = q' - 2 kappa^2 b^T M^-1 W_beta M^-1 W_beta M^-1 b
+        (ln det E)'  = -tr(M^-1 A^T W A)
+        (ln det E)'' = kappa tr(M^-1 W_beta M^-1 A^T W A)
+
+    none of which cancels at either end of the float range."""
+    with mp.workdps(50):
+        w, w_beta, a, r = _dense_mp(problem, prior)
+        kappa = mp.mpf(kappa)
+        gram, b = a.T * w * a, a.T * w * r
+        m_inv = mp.inverse(kappa * w_beta + gram)
+        quad = (r.T * w * r)[0] - (b.T * m_inv * b)[0]
+        left = m_inv * w_beta * m_inv
+        slope_q = kappa * (b.T * left * b)[0]
+        curve_q = slope_q - 2 * kappa**2 * (b.T * left * w_beta * m_inv * b)[0]
+        slope_l = -sum((m_inv * gram)[i, i] for i in range(problem.t))
+        curve_l = kappa * sum((left * gram)[i, i] for i in range(problem.t))
+        if sigma2 is None:
+            ratio = slope_q / quad
+            terms = (problem.n * ratio, problem.n * curve_q / quad, -problem.n * ratio**2)
+        else:
+            terms = (slope_q / sigma2, curve_q / sigma2)
+        slope = terms[0] + slope_l
+        curvature = sum(terms[1:]) + curve_l
+        scales = (abs(terms[0]) + abs(slope_l), sum(abs(x) for x in terms[1:]) + abs(curve_l))
+        return [float(x) for x in (slope, curvature, *scales)]
+
+
+def _slope_fixture():
+    """Dense W and W_beta, with A scaled so that s^2 / kappa overflows at kappa = 1e-307."""
+    problem, prior = random_fixture(np.random.default_rng(51), 7, 4, cond=1e2)
+    return ar.InverseProblem(10.0 * problem.a_matrix, problem.y, problem.w), prior
+
+
+class TestSlopes:
+    """f' and f'' in ln kappa (marginal._reduce_slopes) against 50-digit mpmath."""
+
+    KAPPAS = (1e-307, 1e-12, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6, 1e12)
+
+    @pytest.mark.parametrize("sigma2", [None, 0.3], ids=["case1", "case2"])
+    def test_match_mpmath_over_the_bracket(self, sigma2):
+        problem, prior = _slope_fixture()
+        workspace = ar.MarginalWorkspace(problem, prior.w_beta)
+        # at the lowest kappa s^2 / kappa overflows for the largest s only
+        with np.errstate(over="ignore"):
+            ratio = workspace.s2 / 1e-307
+        assert np.isinf(ratio[0]) and np.isfinite(ratio[-1])
+        objective = ar.MarginalObjective(workspace, prior, sigma2)
+        columns = np.zeros(len(self.KAPPAS), dtype=int)
+        _, slope, curvature = objective.search_slopes(np.array(self.KAPPAS), columns)
+        for j, kappa in enumerate(self.KAPPAS):
+            exact_slope, exact_curv, slope_scale, curv_scale = _slope_reference(
+                problem, prior, sigma2, kappa
+            )
+            # rounding relative to the size of the terms, which may cancel
+            assert abs(slope[j] - exact_slope) <= 1e-13 * slope_scale, kappa
+            assert abs(curvature[j] - exact_curv) <= 1e-13 * curv_scale, kappa
+
+    @pytest.mark.parametrize("sigma2", [None, 0.3], ids=["case1", "case2"])
+    def test_reference_is_the_objectives_derivative(self, sigma2):
+        # the closed forms above against mpmath's numerical derivatives of f(e^u)
+        problem, prior = _slope_fixture()
+        for kappa in (1e-3, 1.0, 1e3):
+            exact_slope, exact_curv, _, _ = _slope_reference(problem, prior, sigma2, kappa)
+            with mp.workdps(50):
+                u = mp.log(mp.mpf(kappa))
+                derivatives = mp.diffs(
+                    lambda v: _dense_objective_mp(problem, prior, sigma2, mp.exp(v)), u, 2
+                )
+                _, slope, curvature = (float(x) for x in derivatives)
+            assert slope == pytest.approx(exact_slope, rel=1e-14, abs=1e-14)
+            assert curvature == pytest.approx(exact_curv, rel=1e-14, abs=1e-14)
+
+
 class TestObjectiveRelations:
     def test_two_parameterizations_agree(self):
         rng = np.random.default_rng(18)
@@ -482,6 +582,93 @@ class TestQrWorkspace:
             assert_allclose(ops.solve(residual), solved, rtol=1e-10)
             rhs = rng.standard_normal((problem.n, 3))
             assert_allclose(ops.solve(rhs), np.linalg.solve(cofactor, rhs), rtol=1e-10)
+
+
+def _symmetric_fixture(kind):
+    """A problem whose whitened design equals its transpose bit for bit: Phillips 64,
+    or (M + M^T) / 2 of a random 40 x 40 M, which is indefinite."""
+    if kind == "phillips64":
+        design, exact = ar.phillips_problem(64)
+        y, _ = ar.synthesize_observations(design, exact, 1e-4, seed=3)
+        return design.with_observations(y)
+    rng = np.random.default_rng(70)
+    m = rng.standard_normal((40, 40))
+    return ar.InverseProblem((m + m.T) / 2, rng.standard_normal(40))
+
+
+def _fail(name):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{name} did not converge")
+
+    return failing
+
+
+class TestSymmetricRoute:
+    """A square whitened design equal to its transpose is eigendecomposed; the results
+    agree with the SVD route's to rounding, bounded by eps times the condition number."""
+
+    @pytest.mark.parametrize("kind", ["phillips64", "indefinite40"])
+    def test_takes_eigh_and_gives_the_svds_singular_values(self, monkeypatch, kind):
+        problem = _symmetric_fixture(kind)
+        expected = np.linalg.svd(problem.a_matrix, compute_uv=False)
+        monkeypatch.setattr(np.linalg, "svd", _fail("SVD"))
+        workspace = ar.MarginalWorkspace(problem)
+        eps = np.finfo(float).eps
+        assert np.all(np.diff(workspace.s) <= 0)
+        assert np.max(np.abs(workspace.s - expected)) <= 8 * eps * expected[0]
+        # U_R diag(s) V^T is the design, with orthonormal factors
+        rebuilt = (workspace.u_r * workspace.s) @ workspace.vt
+        assert np.max(np.abs(rebuilt - problem.a_matrix)) <= 64 * problem.n * eps * expected[0]
+        for factor in (workspace.u_r, workspace.vt):
+            assert_allclose(factor.T @ factor, np.eye(problem.n), rtol=0, atol=64 * problem.n * eps)
+
+    @pytest.mark.parametrize("kind", ["phillips64", "indefinite40"])
+    def test_grid_objectives_and_estimates_match_the_svd_route(self, monkeypatch, kind):
+        problem = _symmetric_fixture(kind)
+        prior = ar.default_prior(problem.t)
+        s = np.linalg.svd(problem.a_matrix, compute_uv=False)
+        bound = 10 * (s[0] / s[-1]) * np.finfo(float).eps  # 6.5e-10 on Phillips 64, 7.8e-14 here
+        _, kappas = ar.marginal.kappa_grid(ar.marginal.DEFAULT_BRACKET, ar.marginal.GRID_POINTS)
+
+        def outputs():
+            workspace = ar.MarginalWorkspace(problem)
+            values = [ar.MarginalObjective(workspace, prior, sigma2)(kappas) for sigma2 in (None, 1e-4)]
+            estimates = [ar.ls_estimate(problem), ar.regularized_estimate(problem, kappa=1e-3)]
+            return values, [estimate.beta_hat for estimate in estimates]
+
+        values, estimates = outputs()
+        monkeypatch.setattr(ar.marginal, "_symmetric_svd", np.linalg.svd)
+        svd_values, svd_estimates = outputs()
+        for value, svd_value in zip(values, svd_values):
+            assert_allclose(value.quad_term, svd_value.quad_term, rtol=bound)
+            assert_allclose(value.logdet_term, svd_value.logdet_term, rtol=1e-13, atol=1e-13)
+            # a relative error of q moves n ln q by n times it, and q / sigma2 by q / sigma2 times it
+            quad_part = problem.n if value.sigma2 is None else svd_value.quad_term / value.sigma2
+            tol = bound * quad_part + 1e-13 * (1.0 + np.abs(svd_value.logdet_term))
+            assert np.all(np.abs(value.total - svd_value.total) <= tol)
+        for estimate, svd_estimate in zip(estimates, svd_estimates):
+            assert np.linalg.norm(estimate - svd_estimate) <= bound * np.linalg.norm(svd_estimate)
+
+    def test_one_ulp_off_symmetric_takes_the_svd(self, monkeypatch):
+        problem = _symmetric_fixture("indefinite40")
+        a = problem.a_matrix.copy()
+        a[0, 1] = np.nextafter(a[0, 1], np.inf)
+        skewed = ar.InverseProblem(a, problem.y)
+        monkeypatch.setattr(np.linalg, "eigh", _fail("eigh"))
+        with pytest.raises(ar.FactorizationError):
+            ar.MarginalWorkspace(problem)
+        ar.MarginalWorkspace(skewed)
+        monkeypatch.setattr(np.linalg, "svd", _fail("SVD"))
+        with pytest.raises(ar.FactorizationError, match="SVD did not converge"):
+            ar.MarginalWorkspace(skewed)
+
+    def test_zero_eigenvalue_takes_a_positive_sign(self):
+        a = np.diag([-3.0, 0.0, 2.0])
+        workspace = ar.MarginalWorkspace(ar.InverseProblem(a, np.ones(3)))
+        assert workspace.s.tolist() == [3.0, 2.0, 0.0]
+        # U_R = V sign(lam), with sign(0) = +1
+        assert_allclose(workspace.u_r, workspace.vt.T * [[-1.0, 1.0, 1.0]], atol=0)
+        assert_allclose((workspace.u_r * workspace.s) @ workspace.vt, a, atol=0)
 
 
 def _scaled_phillips(scale):

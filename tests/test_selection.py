@@ -171,6 +171,38 @@ class TestSelectCase2:
             ar.select_case2(problem, prior, 0.0)
 
 
+class TestNewtonRefinement:
+    """Grid, then safeguarded Newton steps in ln kappa on the exact slope and curvature."""
+
+    @pytest.mark.parametrize("sigma2", [None, 1e-4], ids=["case1", "case2"])
+    def test_slope_vanishes_at_criterion_07_minima(self, sigma2):
+        # criterion 07's problem: Phillips 32, sigma2 1e-4, seed 3, zero prior mean
+        design, exact = ar.phillips_problem(32)
+        y, _ = ar.synthesize_observations(design, exact, 1e-4, seed=3)
+        problem, prior = design.with_observations(y), ar.default_prior(32)
+        if sigma2 is None:
+            result = ar.select_case1(problem, prior)
+        else:
+            result = ar.select_case2(problem, prior, sigma2)
+        assert result.boundary_flag is ar.BoundaryFlag.INTERIOR
+        objective = ar.MarginalObjective(ar.MarginalWorkspace(problem), prior, sigma2)
+        value, slope, curvature = objective.search_slopes(np.array([result.kappa_hat]), np.array([0]))
+        # a Newton step from kappa_hat would be below the tolerance
+        assert curvature[0] > 0
+        assert abs(slope[0]) <= math.log(1.0 + DEFAULT_REL_TOL) * curvature[0]
+        assert result.objective_at_min == value[0] + objective.offset[0]
+        assert result.objective_at_min <= min(v for _, v in result.trace)
+        assert result.ln_kappa_width == math.sqrt(2.0 / curvature[0])
+
+    def test_edge_has_no_width(self):
+        design, exact = ar.spectrum_problem(48, 12, decay=4.0, seed=1)
+        y, _ = ar.synthesize_observations(design, exact, 1e-6, seed=4)
+        result = ar.select_case2(design.with_observations(y), ar.default_prior(12, mu=exact), 1e-6)
+        assert result.boundary_flag is ar.BoundaryFlag.UPPER_EDGE
+        assert result.ln_kappa_width is None
+        assert result.to_json()["ln_kappa_width"] is None
+
+
 class TestSweepMatchesTrace:
     @pytest.mark.parametrize("mu_zero", [False, True])
     @pytest.mark.parametrize("kind", ["phillips32", "spectrum48x12"])
@@ -200,6 +232,7 @@ class TestSelectionResultJson:
         doc = ar.select_case1(problem, prior).to_json()
         assert set(doc) == {
             "kappa_hat",
+            "ln_kappa_width",
             "sigma2_hat",
             "sigma_beta2_hat",
             "objective_at_min",
@@ -209,6 +242,8 @@ class TestSelectionResultJson:
             "trace",
         }
         assert doc["boundary_flag"] in {"interior", "lower-edge", "upper-edge"}
+        width = doc["ln_kappa_width"]
+        assert width is None or (math.isfinite(width) and width > 0)
         assert len(doc["trace"]) == GRID_POINTS
         for kappa, value in doc["trace"]:
             assert value is None or math.isfinite(value)
