@@ -31,10 +31,16 @@ has z ~ N(o, sigma2 I), o = L_W^T ybar, so c = o_c + sigma g and, with
 o_perp turned onto one axis of the complement of range(U),
 |z - U c|^2 = (|o_perp| + sigma g_0)^2 + sigma2 chi2(n - t - 1). A
 TrueMu prior draw, sqrt(sigma2/kappa) U diag(s) V^T z_beta, adds only to
-c: c = sigma h g with h = sqrt(1 + s^2/kappa) and o = 0, so d h^2 = 1
-makes quad/sigma2 ~ chi2(n) and a wrong damping shows. With
-shift = (sqrt(d) o_c, |o_perp|) and spread = (sqrt(d) sigma, sigma) for
-ZeroMu, a replicate keeps only its excess over the noise-free
+c: c = sigma h g with h = sqrt(1 + s^2/kappa) and o = 0. Its spread
+sqrt(d) h sigma is taken as sqrt(d + e) sigma from the filter row at
+kappa (marginal.MarginalOperators), e = s^2 / (s^2 + kappa). Both d h^2
+and d + e equal 1 in exact arithmetic, so quad/sigma2 ~ chi2(n); d and e
+have their own numerators, so a wrong filter still shows. ZeroMu draws
+with shift = (sqrt(d) |o_c|, |o_perp|): g is symmetric, so the
+distribution is the same, and the seeded sample does not depend on the
+sign a decomposition picks for a singular vector. With
+spread = (sqrt(d) sigma, sigma) for ZeroMu, a replicate keeps only its
+excess over the noise-free
 |shift|^2, sum (2 shift + spread g) spread g plus the chi-square part,
 so a noise far below |o| keeps its digits; |shift|^2 is added back to
 the mean alone. Chunks of whole blocks are drawn and reduced without
@@ -158,19 +164,19 @@ def expected_sigma2_terms(design, ground_truth, sigma2, kappa, w_beta=None):
     Both are nonnegative and the noise term never exceeds sigma2.
     """
     check_positive_finite(sigma2, "sigma2")
-    workspace, ops = _truth_frame(design, w_beta, kappa)
-    return _sigma2_terms(ops, workspace.project_rows(ground_truth.y_bar[None, :]), sigma2)
+    ops = _truth_frame(design, w_beta, kappa)
+    return _sigma2_terms(ops, ops.workspace.project_rows(ground_truth.y_bar[None, :]), sigma2)
 
 
 def _truth_frame(design, w_beta, kappa):
-    """(workspace, its operators at kappa) of a zero-observation workspace."""
-    workspace = MarginalWorkspace(design.with_observations(np.zeros(design.n)), w_beta)
-    return workspace, workspace.operators(kappa)
+    """The view at kappa of a zero-observation workspace."""
+    return MarginalWorkspace(design.with_observations(np.zeros(design.n)), w_beta).operators(kappa)
 
 
 def _sigma2_terms(ops, projected, sigma2):
     """(signal, noise) from ybar's projection (perp, c), shapes (1,) and (1, t)."""
-    return ops.projected_quad(*projected) / ops.n, ops.expected_noise_quad() / ops.n * sigma2
+    n = ops.workspace.n
+    return ops.projected_quad(*projected) / n, ops.expected_noise_quad() / n * sigma2
 
 
 _BLOCK = 256  # replicates per block of the sigma2 study
@@ -273,23 +279,6 @@ def _run_workers(step, jobs, workers):
             raise error
 
 
-def _true_mu_spread(workspace, damping, kappa):
-    """sqrt(d) h with h = sqrt(1 + s^2/kappa), the TrueMu spread of c in units
-    of sigma; sigma2/kappa is never formed.
-
-    d h^2 = 1 in exact arithmetic. Where s^2/kappa overflows, d underflows
-    while h may overflow, so there the product is formed as the one factor
-    sqrt(d + s^2/(s^2 + kappa)), whose terms lie in [0, 1].
-    """
-    s, s2 = workspace.s, workspace.s2
-    with np.errstate(over="ignore", invalid="ignore"):
-        spread = np.sqrt(damping) * np.hypot(1.0, s / math.sqrt(kappa))
-        huge = np.isinf(s2 / kappa)
-    # kappa/s^2 is below 1/DBL_MAX here; s^2/(s^2 + kappa) in this form is 1, not nan, at s^2 = inf
-    spread[huge] = np.sqrt(damping[huge] + 1.0 / (1.0 + kappa / s2[huge]))
-    return spread
-
-
 def mc_sigma2_study(
     design,
     ground_truth,
@@ -317,17 +306,17 @@ def mc_sigma2_study(
         raise DomainError(f"replicates must be at least {MIN_REPLICATES}, got {replicates}")
     check_positive_finite(sigma2, "sigma2")
     n, t = design.n, design.t
-    workspace, ops = _truth_frame(design, prior.w_beta, kappa)
+    ops = _truth_frame(design, prior.w_beta, kappa)
     if mu_mode is MuMode.TRUE_MU:
-        spread = _true_mu_spread(workspace, ops.damping, kappa)
+        spread = np.sqrt(ops.damping + ops.complement)
         perp, coef, analytic, sampling = 0.0, np.zeros(t), float(sigma2), "prior-draw"
     else:
         spread, sampling = np.sqrt(ops.damping), "fixed-truth"
-        projected = workspace.project_rows(ground_truth.y_bar[None, :])
+        projected = ops.workspace.project_rows(ground_truth.y_bar[None, :])
         analytic = sum(_sigma2_terms(ops, projected, sigma2))
         perp, coef = (part[0] for part in projected)
     complement = float(n > t)  # g_0 lies on the axis of o_perp; n = t leaves no such axis
-    shift = np.append(np.sqrt(ops.damping) * coef, complement * math.sqrt(perp))
+    shift = np.append(np.sqrt(ops.damping) * np.abs(coef), complement * math.sqrt(perp))
     spread = np.append(spread, complement)
     exponent = math.frexp(max(math.sqrt(sigma2), float(np.max(np.abs(shift)))))[1]
     shift = np.ldexp(shift, -exponent)

@@ -109,7 +109,7 @@ def _gaussian_logpdf(residual, weight, variance):
     """log N(residual; 0, weight^-1 variance) including all constants."""
     k = residual.shape[0]
     # r^T W r = |L^T r|^2 for weight W = L L^T, with no solve
-    half = weight.mul_lower(residual, trans=True)
+    half = weight.mul_lower_t(residual)
     quad = float(half @ half)
     return -0.5 * k * LOG_2PI - 0.5 * k * math.log(variance) + 0.5 * weight.logdet - 0.5 * quad / variance
 

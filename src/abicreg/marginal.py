@@ -26,13 +26,14 @@ z = L_W^T r and c = U^T z:
     r^T E^-1 r    = |z - U c|^2 + sum d_i c_i^2
     ln det E      = sum log1p(s_i^2 / kappa) - ln det W
     tr(E^-1 W^-1) = (n - t) + sum d_i
-    E^-1 r        = L_W ((z - U c) + U (d * c))
 
 with the damping d = kappa / (s^2 + kappa). MarginalWorkspace._filter
 computes d, its complement e = s^2 / (s^2 + kappa) and ln det E, for every
-kappa a bracket admits. Since d' = d e in ln kappa, the slope and the
-curvature of either objective in ln kappa follow from the same filter in
-O(t) (_reduce_slopes):
+kappa a bracket admits; it is the one place either is written. Where
+s^2 + kappa passes the float range, d = 1 / (1 + s^2 / kappa) and
+e = 1 / (1 + kappa / s^2) there. Since d' = d e in ln kappa, the slope and
+the curvature of either objective in ln kappa follow from the same filter
+in O(t) (_reduce_slopes):
 
     q'  = sum d e c^2,           (ln det E)'  = -sum e,
     q'' = sum d e (e - d) c^2,   (ln det E)'' =  sum d e.
@@ -71,6 +72,12 @@ is reduced from (|z - U c|^2, c) by _reduce_quad alone, or by the grid's
 K x R outer product. So a residual rounds alike at any kappa and in any
 block: sigma2_hat at kappa_hat is the selection's own value, and a Monte
 Carlo replicate's that of its single selection, bit for bit.
+
+MarginalWorkspace.operators(kappa) is the one view of E at a fixed kappa:
+MarginalOperators holds _filter's row at that kappa and reduces one
+residual with _reduce_quad. sigma2_hat and the bias module's expectations
+read it, and so does the benchmark in perfbench/, which times and traces
+operators, quad_form and logdet by name.
 
 All objectives drop the constant -(n/2) ln(2 pi) normalization term; the
 full log density is available from log_marginal_density.
@@ -145,30 +152,25 @@ class ObjectiveValue:
 
 
 class MarginalOperators:
-    """Quadratic-form and determinant handles for E at a fixed kappa."""
+    """E at a fixed kappa: the workspace's _filter row there and r^T E^-1 r.
+
+    ``damping`` d = kappa / (s^2 + kappa) is the share of each singular
+    direction E^-1 keeps, ``complement`` e = s^2 / (s^2 + kappa) the rest,
+    and ``logdet`` is ln det E. The benchmark in perfbench/ calls
+    MarginalWorkspace.operators, quad_form and logdet by these names.
+    """
 
     def __init__(self, workspace, kappa):
-        self._ws = workspace
+        self.workspace = workspace
         self.kappa = float(kappa)
-        self.n, self.t = workspace.n, workspace.t
-        damping, _, logdet = workspace._filter(np.array([self.kappa]))
-        # kappa / (s^2 + kappa): the share of each singular direction E^-1 keeps
-        self.damping = damping[0]
+        damping, complement, logdet = workspace._filter(np.array([self.kappa]))
+        self.damping, self.complement = damping[0], complement[0]
         self.logdet = float(logdet[0])
-
-    def solve(self, rhs):
-        """E^-1 rhs for a vector or a matrix of column vectors."""
-        ws = self._ws
-        z, coef = ws._split(np.atleast_2d(np.transpose(rhs)))
-        # Q^T E^-1 rhs = [U_R (d * c); (Q^T z)[t:]] before L_W
-        z[:, : ws.t] = np.einsum("ri,ki->rk", self.damping * coef, ws.u_r)
-        ws._reflect(z, transpose=False)
-        return ws.w.mul_lower(z.T if np.ndim(rhs) == 2 else z[0])
 
     def quad_form(self, residual):
         """r^T E^-1 r for one residual vector r."""
         rows = np.asarray(residual, dtype=float)[None, :]
-        return self.projected_quad(*self._ws.project_rows(rows))
+        return self.projected_quad(*self.workspace.project_rows(rows))
 
     def projected_quad(self, perp, coef):
         """r^T E^-1 r of one residual from its projection (perp, c), shapes (1,) and (1, t)."""
@@ -179,7 +181,7 @@ class MarginalOperators:
 
     def expected_noise_quad(self):
         """tr(E^-1 W^-1): E[r^T E^-1 r]/sigma2 under r ~ N(0, W^-1 sigma2)."""
-        return (self.n - self.t) + float(np.sum(self.damping))
+        return (self.workspace.n - self.workspace.t) + float(np.sum(self.damping))
 
 
 class MarginalWorkspace:
@@ -194,8 +196,8 @@ class MarginalWorkspace:
     with its scale in ``_tau`` (none when n = t, where Q = I), and the
     SVD ``u_r``, ``s``, ``vt`` of the t x t triangle, with s^2 beside
     it. U = Q[:, :t] U_R is never formed. Nothing that depends on kappa
-    is cached here. Where s^2 overflows (s above about 1.34e154, indexed by
-    ``_huge``), ``_log_s2`` holds ln s^2 as 2 ln s.
+    is cached here. Where s^2 overflows (s above about 1.34e154),
+    ``_log_s2`` holds ln s^2 as 2 ln s.
 
     When n = t and the whitened design equals its transpose exactly
     (``np.array_equal``, O(t^2)), the SVD comes from ``np.linalg.eigh``
@@ -211,9 +213,7 @@ class MarginalWorkspace:
         self.w_beta = as_weight(w_beta, "w_beta", self.t)
         # Fortran order, so that the QR's reflectors come back as C-ordered rows
         # (ascontiguousarray below then copies nothing)
-        whitened = np.asfortranarray(
-            self.w_beta.solve_lower(self.w.mul_lower(problem.a_matrix, trans=True).T).T
-        )
+        whitened = np.asfortranarray(self.w_beta.solve_lower(self.w.mul_lower_t(problem.a_matrix).T).T)
         try:
             if self.n > self.t:
                 # row j holds column j of R up to the diagonal, reflector j below it
@@ -234,8 +234,8 @@ class MarginalWorkspace:
         with np.errstate(over="ignore", divide="ignore"):
             self.s2 = self.s * self.s
             self._log_s2 = np.log(self.s2)
-        self._huge = np.flatnonzero(np.isinf(self.s2))
-        self._log_s2[self._huge] = 2.0 * np.log(self.s[self._huge])
+        huge = np.isinf(self.s2)
+        self._log_s2[huge] = 2.0 * np.log(self.s[huge])
 
     def operators(self, kappa):
         check_positive_finite(kappa, "kappa")
@@ -245,20 +245,23 @@ class MarginalWorkspace:
         """(d, e, ln det E) at a 1-D array of K kappas, (K, t), (K, t) and (K,):
         the damping d = kappa / (s^2 + kappa) and its complement
         e = s^2 / (s^2 + kappa), never formed as 1 - d, whose relative error is
-        about eps / e. e is 1 where s^2 overflows. log1p(s^2 / kappa) is
-        ln s^2 - ln kappa where s^2 / kappa overflows; 1 is then below half an
-        ulp of s^2 / kappa."""
+        about eps / e. Where s^2 + kappa overflows they are 1 / (1 + s^2 / kappa)
+        and 1 / (1 + kappa / s^2), which read 0 and 1 where s^2 itself overflows.
+        log1p(s^2 / kappa) is ln s^2 - ln kappa where s^2 / kappa overflows; 1 is
+        then below half an ulp of s^2 / kappa."""
         kappa = kappa[:, None]
         with np.errstate(over="ignore"):
             ratio = self.s2 / kappa
+            total = self.s2 + kappa
         terms = np.log1p(ratio)
         rows, cols = np.nonzero(np.isinf(ratio))
         terms[rows, cols] = self._log_s2[cols] - np.log(kappa[rows, 0])
-        total = self.s2 + kappa
         with np.errstate(invalid="ignore"):
-            complement = self.s2 / total
-        complement[:, self._huge] = 1.0
-        return kappa / total, complement, terms.sum(axis=1) - self.w.logdet
+            damping, complement = kappa / total, self.s2 / total
+        rows, cols = np.nonzero(np.isinf(total))
+        damping[rows, cols] = 1.0 / (1.0 + ratio[rows, cols])
+        complement[rows, cols] = 1.0 / (1.0 + kappa[rows, 0] / self.s2[cols])
+        return damping, complement, terms.sum(axis=1) - self.w.logdet
 
     def penalized_solution(self, residual, kappa):
         """L_b^-T V diag(s / (s^2 + kappa)) U^T L_W^T r, the minimizer of
@@ -278,21 +281,23 @@ class MarginalWorkspace:
                 condition=condition,
             )
         coef = self._split(np.asarray(residual, dtype=float)[None, :])[1][0]
-        gain = self.s / (self.s2 + kappa)
-        # that reads 0 where s^2 overflows
-        gain[self._huge] = 1.0 / (self.s[self._huge] + kappa / self.s[self._huge])
+        with np.errstate(over="ignore"):
+            total = self.s2 + kappa
+        gain = self.s / total
+        # that reads 0 where s^2 + kappa overflows
+        over = np.isinf(total)
+        gain[over] = 1.0 / (self.s[over] + kappa / self.s[over])
         return self.w_beta.solve_lower(self.vt.T @ (gain * coef), trans=True)
 
     def residual(self, prior):
         return self.problem.y - self.problem.a_matrix @ prior.mu
 
-    def _reflect(self, rows, transpose):
-        """Q^T z with ``transpose``, else Q z, for each row z of an R x n block,
-        in place: one reflector at a time, its product with each row an einsum
-        along the row. An overflow gives inf or nan, as the reductions would."""
-        steps = range(len(self._tau))
+    def _reflect(self, rows):
+        """Q^T z for each row z of an R x n block, in place: one reflector at a
+        time, its product with each row an einsum along the row. An overflow
+        gives inf or nan, as the reductions would."""
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in steps if transpose else reversed(steps):
+            for j in range(len(self._tau)):
                 v, tail = self._reflectors[j, j:], rows[:, j:]
                 tail -= np.multiply.outer(self._tau[j] * np.einsum("rn,n->r", tail, v), v)
         return rows
@@ -301,7 +306,7 @@ class MarginalWorkspace:
         """(Q^T z, c) with z = L_W^T r and c = U^T z = U_R^T (Q^T z)[:t] for each
         row r of an R x n block, (R, n) and (R, t): the package's one projection.
         (Q^T z)[t:] is z - U c in Q's frame."""
-        z = self._reflect(self.w.mul_lower_rows(rows), transpose=True)
+        z = self._reflect(self.w.mul_lower_rows(rows))
         return z, np.einsum("rk,ik->ri", z[:, : self.t], self.u_r.T)
 
     def project_rows(self, rows):

@@ -162,12 +162,11 @@ class Weight:
         """ln det W."""
         return 0.0 if self.matrix is None else spd_logdet(self._factor())
 
-    def mul_lower(self, x, trans=False):
-        """L x, or L^T x with ``trans``; always a new array the caller may overwrite."""
+    def mul_lower_t(self, x):
+        """L^T x; always a new array the caller may overwrite."""
         if self.matrix is None:
             return np.array(x, dtype=float, order="C")
-        lower = self._factor()
-        return (lower.T if trans else lower) @ np.asarray(x, dtype=float)
+        return self._factor().T @ np.asarray(x, dtype=float)
 
     def mul_lower_rows(self, rows):
         """rows @ L, i.e. (L^T r)^T for each row r, as a new C-ordered array;

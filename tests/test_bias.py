@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -247,18 +248,57 @@ class TestMcSigma2Study:
         assert reports[0].mc_mean == reports[1].mc_mean
         assert reports[0].mc_std_error == reports[1].mc_std_error
 
-    def test_true_mu_spread_is_unchanged_where_s2_over_kappa_is_finite(self):
-        design, _ = ar.spectrum_problem(8, 4, 2.0, seed=1)
-        workspace = ar.MarginalWorkspace(design.with_observations(np.zeros(8)), 1e-300 * np.eye(4))
-        kappa = 1e-10  # s^2/kappa overflows in the first two directions only
-        damping = workspace.operators(kappa).damping
-        spread = ar.bias._true_mu_spread(workspace, damping, kappa)
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(workspace.s2 / kappa)
-        assert finite.tolist() == [False, False, True, True]
-        hypot = np.hypot(1.0, workspace.s[finite] / math.sqrt(kappa))
-        assert np.array_equal(spread[finite], np.sqrt(damping[finite]) * hypot)
-        assert np.array_equal(spread[~finite], [1.0, 1.0])
+    @pytest.mark.parametrize(
+        "region", ["default-bracket", "s2-over-kappa-overflows", "s2-plus-kappa-overflows"]
+    )
+    def test_true_mu_spread_is_one_within_an_ulp(self, monkeypatch, region):
+        # sqrt(d) h = sqrt(d + e) = 1 in exact arithmetic, in units of the complement
+        # axis's spread sigma; the study passes both to _excess
+        if region == "s2-plus-kappa-overflows":
+            design = ar.ProblemDesign([[1.2e154, 0.0], [0.0, 1.0], [0.0, 0.0]])
+            w_beta, kappas = None, [1e308]
+        else:
+            design, _ = ar.spectrum_problem(8, 4, 2.0, seed=1)
+            if region == "default-bracket":
+                w_beta, kappas = None, ar.kappa_grid(ar.marginal.DEFAULT_BRACKET, 97)[1]
+            else:
+                # s^2 lies between 1e296 and 1e300: s^2/kappa overflows in every direction
+                w_beta, kappas = 1e-300 * np.eye(4), [1e-10, 1e-307, 1e-320]
+        truth = ar.GroundTruth.from_design(design, np.zeros(design.t))
+        prior = ar.default_prior(design.t, w_beta=w_beta)
+        spreads, reduce = [], ar.bias._excess
+
+        def spy_reduce(rows, shift, spread):
+            spreads.append(spread[:-1] / spread[-1])
+            return reduce(rows, shift, spread)
+
+        monkeypatch.setattr(ar.bias, "_excess", spy_reduce)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kappa in kappas:
+                ar.mc_sigma2_study(design, truth, prior, 1.0, kappa, 100, seed=1, mu_mode="true")
+        assert len(spreads) == len(kappas)
+        assert np.all(np.abs(np.array(spreads) - 1.0) <= np.spacing(1.0))
+
+    @pytest.mark.parametrize("shape", [(11, 4), (4, 4)], ids=["n>t", "n=t"])
+    def test_zero_mu_study_ignores_singular_vector_signs(self, monkeypatch, shape):
+        # U_R and V with columns 0 and 2 negated are as much an SVD as the ones LAPACK returned
+        rng = np.random.default_rng(52)
+        n, t = shape
+        design = ar.ProblemDesign(rng.standard_normal((n, t)), random_spd(rng, n))
+        truth = ar.GroundTruth(rng.standard_normal(t), rng.standard_normal(n))
+        prior = ar.default_prior(t, w_beta=random_spd(rng, t))
+        args = (design, truth, prior, 0.3, 2.0, 600, 9, "zero")
+        before = ar.mc_sigma2_study(*args)
+
+        class Flipped(ar.MarginalWorkspace):
+            def __init__(self, *a, **k):
+                super().__init__(*a, **k)
+                self.u_r[:, [0, 2]] *= -1.0
+                self.vt[[0, 2]] *= -1.0
+
+        monkeypatch.setattr(ar.bias, "MarginalWorkspace", Flipped)
+        assert ar.mc_sigma2_study(*args) == before
 
     def test_json_payload(self):
         design, _, prior, truth = tiny_fixture()
@@ -298,6 +338,8 @@ def _dense_sigma2_reference(design, truth, w, w_beta, sigma2, kappa, replicates,
         perp_offset, axis, other = 0.0, complement[:, 0], complement[:, 1]
     else:
         o = l_w.T @ truth.y_bar
+        # the study draws with |U^T o|: the frame whose columns give U^T o >= 0
+        u = u * np.where(u.T @ o < 0.0, -1.0, 1.0)
         offset, spread = u.T @ o, np.full(t, sigma)
         perp = o - u @ offset
         perp_offset = np.linalg.norm(perp)
@@ -526,13 +568,13 @@ def _n_dim_sigma2_study(design, truth, prior, sigma2, kappa, replicates, seed, m
     n, t = design.n, design.t
     workspace = ar.MarginalWorkspace(design.with_observations(np.zeros(n)), prior.w_beta)
     # its own SVD of the whitened design, independent of the package's factors
-    whitened = workspace.w_beta.solve_lower(workspace.w.mul_lower(design.a_matrix, trans=True).T).T
+    whitened = workspace.w_beta.solve_lower(workspace.w.mul_lower_t(design.a_matrix).T).T
     u, s, vt = np.linalg.svd(whitened, full_matrices=False)
     z = np.empty((replicates, n))
     ar.bias._block_filler(seed)(0, z)
     z *= math.sqrt(sigma2)
     if mu_mode == "zero":
-        z += workspace.w.mul_lower(truth.y_bar, trans=True)
+        z += workspace.w.mul_lower_t(truth.y_bar)
     # plain numpy on the already whitened draws, independent of the package's projection
     coef = u.T @ z.T
     outside = z.T - u @ coef

@@ -493,10 +493,25 @@ PHILLIPS_16 = _phillips(16)
 PHILLIPS_8 = _phillips(8)
 PHILLIPS_8_TRUTH = json.dumps({"exact_solution": ar.phillips_problem(8)[1].tolist()})
 LOWEST_BRACKET = "--bracket -307 -306"
+# s_1^2 = 1.44e308 is finite, and s_1^2 + kappa overflows at kappa = 1e308
+SUM_OVERFLOW = '{"A": [[1.2e154, 0.0], [0.0, 1.0], [0.0, 0.0]], "y": [1.0, 1.0, 1.0]}'
+TOP_BRACKET = "--bracket 300 308"
+# r^T E^-1 r at kappa = 1e308: 1 off range(A), d_2 = 1 and d_1 = 1 / (1 + 1.44)
+SUM_OVERFLOW_QUAD = 2.0 + 1.0 / 2.44
 
 
-def fuzz(case_id, argv, code, problem=None, truth='{"exact_solution": [1.0]}'):
-    return pytest.param(argv, problem or {}, truth, code, id=case_id)
+def _result(out):
+    return read_json(out / "result.json")["result"]
+
+
+def _top_sweep_row(out):
+    """(kappa, quad_term) of the sweep's last row."""
+    return tuple(map(float, (out / "sweep.csv").read_text().splitlines()[-1].split(",")[:2]))
+
+
+def fuzz(case_id, argv, code, problem=None, truth='{"exact_solution": [1.0]}', expect=None):
+    """``expect(out)`` checks the outputs of a finished run."""
+    return pytest.param(argv, problem or {}, truth, code, expect, id=case_id)
 
 
 FUZZ_CASES = [
@@ -541,6 +556,30 @@ FUZZ_CASES = [
         0,
     ),
     fuzz("solve-ls-huge-singular-values", f"{SOLVE} ls", 0, _scaled_phillips_8()),
+    # d and e, and the solve's gain s / (s^2 + kappa), used to read 0 where s^2 + kappa overflows
+    fuzz(
+        "select-sum-overflow",
+        f"{SELECT} {TOP_BRACKET}",
+        0,
+        SUM_OVERFLOW,
+        expect=lambda out: _result(out)["sigma2_hat"] == pytest.approx(SUM_OVERFLOW_QUAD / 3, rel=1e-14),
+    ),
+    fuzz(
+        "sweep-sum-overflow",
+        f"{SWEEP} --case 2 --sigma2 1 {TOP_BRACKET}",
+        0,
+        SUM_OVERFLOW,
+        expect=lambda out: _top_sweep_row(out) == pytest.approx((1e308, SUM_OVERFLOW_QUAD), rel=1e-14),
+    ),
+    fuzz(
+        "solve-sum-overflow",
+        f"{SOLVE} regularized --kappa 1e308",
+        0,
+        SUM_OVERFLOW,
+        # s / (s^2 + kappa) = 1.2e154 / 2.44e308, the sign that of LAPACK's singular vectors
+        expect=lambda out: abs(_result(out)["estimate"]["beta_hat"][0])
+        == pytest.approx(1.2 / 2.44 * 1e-154, rel=1e-14, abs=0.0),
+    ),
     # condition_estimate's RankDeficiencyWarning; the estimate itself reports the deficiency
     fuzz(
         "generate-rank-deficient",
@@ -631,8 +670,8 @@ FUZZ_CASES = [
 class TestInProcessFuzz:
     """Bad flags and corrupted files through cli.main: the right exit code, never a traceback."""
 
-    @pytest.mark.parametrize("argv, problem, truth, code", FUZZ_CASES)
-    def test_exit_code(self, tmp_path, capsys, argv, problem, truth, code):
+    @pytest.mark.parametrize("argv, problem, truth, code, expect", FUZZ_CASES)
+    def test_exit_code(self, tmp_path, capsys, argv, problem, truth, code, expect):
         if isinstance(problem, dict):
             edited = {**GOOD_PROBLEM, **problem}
             problem = json.dumps({key: value for key, value in edited.items() if value is not None})
@@ -661,6 +700,8 @@ class TestInProcessFuzz:
             if result.exists():
                 trace = read_json(result)["result"].get("trace", [])
                 assert all(value is not None for _, value in trace)
+            if expect is not None:
+                assert expect(tmp_path / "out")
         if code:
             category = {2: "config", 3: "numeric", 4: "io"}[code]
             assert json.loads(stderr)["error"]["category"] == category

@@ -33,7 +33,7 @@ class TestWeight:
 
     def test_identity_mul_lower_is_a_fresh_c_ordered_copy(self):
         x = np.asfortranarray(np.arange(6.0).reshape(3, 2))
-        out = ar.as_weight(None, "w", 3).mul_lower(x, trans=True)
+        out = ar.as_weight(None, "w", 3).mul_lower_t(x)
         assert out is not x and out.flags.c_contiguous
         assert np.array_equal(out, x)
 
@@ -44,8 +44,7 @@ class TestWeight:
         lower = np.linalg.cholesky(mat)
         x = rng.standard_normal((5, 2))
         assert w.logdet == pytest.approx(np.linalg.slogdet(mat)[1], rel=1e-12)
-        assert_allclose(w.mul_lower(x), lower @ x, rtol=1e-12)
-        assert_allclose(w.mul_lower(x, trans=True), lower.T @ x, rtol=1e-12)
+        assert_allclose(w.mul_lower_t(x), lower.T @ x, rtol=1e-12)
         assert_allclose(w.solve_lower(x), np.linalg.solve(lower, x), rtol=1e-10)
         assert_allclose(w.solve_lower(x, trans=True), np.linalg.solve(lower.T, x), rtol=1e-10)
 
