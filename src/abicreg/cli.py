@@ -22,8 +22,6 @@ import pathlib
 import sys
 import warnings
 
-import numpy as np
-
 from . import __version__, serialize
 from ._linalg import pin_one_blas_thread
 from .bias import KAPPA_STUDY_REPLICATES, SIGMA2_STUDY_REPLICATES
@@ -40,6 +38,7 @@ from .estimators import bayes_estimate, ls_estimate, regularized_estimate
 from .marginal import sweep_objective, write_sweep_csv
 from .model import (
     GroundTruth,
+    _as_vector,
     condition_estimate,
     default_prior,
     load_problem,
@@ -223,10 +222,8 @@ def _bias_inputs(args):
         doc = serialize.load(args.truth)
         if not isinstance(doc, dict) or "exact_solution" not in doc:
             raise CliConfigError("truth file must be a JSON object with an exact_solution key")
-        try:
-            exact = np.asarray(doc["exact_solution"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"exact_solution is not a numeric vector: {exc}") from exc
+        # the problem file's strictness: text and boolean entries are not numbers
+        exact = _as_vector(doc["exact_solution"], "exact_solution", length=loaded.problem.t)
         design, w_beta = loaded.problem.design, loaded.prior.w_beta
         source = {"problem": str(args.problem), "truth": str(args.truth)}
     else:

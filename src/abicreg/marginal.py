@@ -90,11 +90,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import serialize
 from ._linalg import symmetrize
 from .errors import (
     DegenerateProblemError,
     DomainError,
-    EvaluationError,
     FactorizationError,
     SingularMatrixError,
     check_positive_finite,
@@ -196,8 +196,8 @@ class MarginalWorkspace:
     with its scale in ``_tau`` (none when n = t, where Q = I), and the
     SVD ``u_r``, ``s``, ``vt`` of the t x t triangle, with s^2 beside
     it. U = Q[:, :t] U_R is never formed. Nothing that depends on kappa
-    is cached here. Where s^2 overflows (s above about 1.34e154),
-    ``_log_s2`` holds ln s^2 as 2 ln s.
+    is cached here. ``_huge`` indexes the columns where s^2 overflows
+    (s above about 1.34e154).
 
     When n = t and the whitened design equals its transpose exactly
     (``np.array_equal``, O(t^2)), the SVD comes from ``np.linalg.eigh``
@@ -231,11 +231,9 @@ class MarginalWorkspace:
             raise FactorizationError(f"SVD of the whitened design failed: {exc}") from exc
         # Fortran order makes U_R^T the C-ordered view that _split reduces along
         self.u_r = np.asfortranarray(u_r)
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore"):
             self.s2 = self.s * self.s
-            self._log_s2 = np.log(self.s2)
-        huge = np.isinf(self.s2)
-        self._log_s2[huge] = 2.0 * np.log(self.s[huge])
+        self._huge = np.flatnonzero(np.isinf(self.s2))
 
     def operators(self, kappa):
         check_positive_finite(kappa, "kappa")
@@ -246,21 +244,29 @@ class MarginalWorkspace:
         the damping d = kappa / (s^2 + kappa) and its complement
         e = s^2 / (s^2 + kappa), never formed as 1 - d, whose relative error is
         about eps / e. Where s^2 + kappa overflows they are 1 / (1 + s^2 / kappa)
-        and 1 / (1 + kappa / s^2), which read 0 and 1 where s^2 itself overflows.
-        log1p(s^2 / kappa) is ln s^2 - ln kappa where s^2 / kappa overflows; 1 is
-        then below half an ulp of s^2 / kappa."""
+        and 1 / (1 + kappa / s^2). log1p(s^2 / kappa) is ln s^2 - ln kappa where
+        s^2 / kappa overflows; 1 is then below half an ulp of s^2 / kappa. In the
+        ``_huge`` columns, where s^2 itself overflows, s^2 / kappa is s (s / kappa),
+        kappa / s^2 is (kappa / s) / s, and ln s^2 is 2 ln s."""
         kappa = kappa[:, None]
         with np.errstate(over="ignore"):
             ratio = self.s2 / kappa
             total = self.s2 + kappa
         terms = np.log1p(ratio)
         rows, cols = np.nonzero(np.isinf(ratio))
-        terms[rows, cols] = self._log_s2[cols] - np.log(kappa[rows, 0])
+        terms[rows, cols] = np.log(self.s2[cols]) - np.log(kappa[rows, 0])
         with np.errstate(invalid="ignore"):
             damping, complement = kappa / total, self.s2 / total
         rows, cols = np.nonzero(np.isinf(total))
         damping[rows, cols] = 1.0 / (1.0 + ratio[rows, cols])
         complement[rows, cols] = 1.0 / (1.0 + kappa[rows, 0] / self.s2[cols])
+        if self._huge.size:
+            s = self.s[self._huge]
+            with np.errstate(over="ignore"):
+                ratio = s * (s / kappa)
+            damping[:, self._huge] = 1.0 / (1.0 + ratio)
+            complement[:, self._huge] = 1.0 / (1.0 + kappa / s / s)
+            terms[:, self._huge] = np.where(np.isinf(ratio), 2.0 * np.log(s) - np.log(kappa), np.log1p(ratio))
         return damping, complement, terms.sum(axis=1) - self.w.logdet
 
     def penalized_solution(self, residual, kappa):
@@ -597,25 +603,10 @@ def sweep_objective(
     return [SweepRow(*row, value.case_tag.value) for row in rows]
 
 
-def _csv_float(value):
-    value = float(value)
-    if not math.isfinite(value):
-        raise EvaluationError(f"non-finite value {value!r} is not representable in the sweep CSV")
-    return repr(value)
-
-
 def write_sweep_csv(path, rows):
-    """Write sweep rows as CSV with shortest round-trip floats, the values of the JSON files.
-
-    The text is Python's ``repr``, which can differ from the JSON's
-    (``1e-05`` where orjson writes ``1e-5``); the doubles are the same.
-
-    Every row is formatted before the file is opened, so a non-finite
-    value raises EvaluationError and leaves no file, as ``serialize.dump`` does.
-    """
-    lines = [SWEEP_HEADER]
-    for row in rows:
-        numbers = (row.kappa, row.quad_term, row.logdet_term, row.objective)
-        lines.append(",".join([*map(_csv_float, numbers), row.case]))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    """Write sweep rows as CSV through ``serialize.dump_csv``: each double in
+    the text the JSON files give it, and a non-finite value raises
+    EvaluationError and leaves no file."""
+    rows = list(rows)
+    numbers = [(row.kappa, row.quad_term, row.logdet_term, row.objective) for row in rows]
+    serialize.dump_csv(path, SWEEP_HEADER, np.array(numbers, dtype=float), [row.case for row in rows])

@@ -1,4 +1,4 @@
-"""One JSON writer and one JSON reader, both orjson.
+"""The package's number text: every file it writes or reads, through orjson.
 
 Every JSON file the package writes goes through ``dump``: compact JSON
 with shortest round-trip floats, so each double parses back bit for bit
@@ -9,7 +9,8 @@ document with EvaluationError. orjson takes integers only in
 cannot encode is written by the stdlib ``json`` module instead: the same
 compact layout, integers of any size, and floats that are the same
 shortest round-trip values, though not always the same text (``1e-05``
-where orjson writes ``1e-5``).
+where orjson writes ``0.00001``). ``dump_csv`` writes a float table, the
+sweep CSV, in orjson's text after the same check.
 
 Every JSON file the package reads goes through ``load``. It parses with
 orjson, which turns a large float array into Python floats several times
@@ -23,10 +24,10 @@ Matrices are read and written one block of whole rows at a time, about
 ``_BLOCK_BYTES`` of text each, so that neither a matrix's text nor its
 nested lists exist whole. ``dump`` writes every 2-d float array under a
 key of a top-level object that way; the file holds the bytes of
-``dumps``. ``load_numeric`` reads a problem file. When the file holds
-nothing but its known keys, numbers and JSON structure, orjson parses
-each matrix a block at a time straight into one float array, and the
-rest of the document (keys, vectors, scalars) in one small call; the
+``dumps``. ``load_numeric`` reads a problem file. When its only strings
+are its distinct known keys and no matrix holds a JSON literal, orjson
+parses each matrix a block at a time straight into one float array, and
+the rest of the document (keys, vectors, scalars) in one small call; the
 arrays hold the doubles of the whole parse bit for bit. Any other file,
 and one whose matrix text is not a rectangular array of numbers, is
 parsed whole by ``load``, which gives its values and its errors.
@@ -40,31 +41,28 @@ import orjson
 
 from .errors import DomainError, EvaluationError
 
-__all__ = ["dumps", "dump", "load", "load_numeric"]
+__all__ = ["dumps", "dump", "dump_csv", "load", "load_numeric"]
 
 # Text of a matrix parsed or written at once; a block ends at the first row end past it.
 _BLOCK_BYTES = 256 * 1024
 # orjson writes a double in at most 24 bytes; 25 with its comma.
 _FLOAT_TEXT_BYTES = 25
-# Every byte a document of numbers holds outside its strings, except "[",
-# which is kept so that each value's rows can be counted.
-_NUMBER_BYTES = b"0123456789.eE+-,]:{} \n\t\r"
 _WHITESPACE = b" \n\t\r"
 
 
-def _check_finite(obj):
+def _check_finite(obj, form="JSON"):
     """Raise EvaluationError for a non-finite float anywhere in ``obj``."""
     if isinstance(obj, dict):
         for value in obj.values():
-            _check_finite(value)
+            _check_finite(value, form)
     elif isinstance(obj, (list, tuple)):
         for item in obj:
-            _check_finite(item)
+            _check_finite(item, form)
     elif isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and not np.isfinite(obj).all():
-            raise EvaluationError("non-finite array values are not representable in JSON")
+            raise EvaluationError(f"non-finite array values are not representable in {form}")
     elif isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
-        raise EvaluationError(f"non-finite value {obj!r} is not representable in JSON")
+        raise EvaluationError(f"non-finite value {obj!r} is not representable in {form}")
 
 
 def _default(obj):
@@ -144,6 +142,17 @@ def dump(obj, path):
                 handle.write(piece)
 
 
+def dump_csv(path, header, table, labels):
+    """Write the line ``header``, then one line per row of the 2-d float array
+    ``table``: its numbers in the text ``dumps`` gives them, then its entry of
+    ``labels``. A non-finite number raises EvaluationError and leaves no file."""
+    _check_finite(table, "CSV")
+    rows = _encode(table, 0)[2:-2].split(b"],[") if len(table) else []
+    lines = [header.encode(), *(row + b"," + label.encode() for row, label in zip(rows, labels))]
+    with open(path, "wb") as handle:
+        handle.write(b"\n".join(lines) + b"\n")
+
+
 def _read(path):
     with open(path, "rb") as handle:
         return handle.read()
@@ -190,7 +199,7 @@ def _read_rows(data, start, stop, rows):
         return None
     view, out, filled = memoryview(data), None, 0
     while True:
-        # the text holds only numbers and structure, so each "]" before the last row's ends a row
+        # the text holds no string, so each "]" before the last row's ends an array
         cut = data.find(b"]", first + _BLOCK_BYTES, last)
         end = last if cut < 0 else cut
         try:
@@ -214,42 +223,39 @@ def _read_rows(data, start, stop, rows):
 def _load_blocks(data, keys, matrices):
     """The object in ``data`` with the values under ``matrices`` read by
     ``_read_rows``; None unless its only strings are distinct ``keys`` of
-    the object itself and each value under ``matrices`` is a matrix."""
-    # one pass over the file leaves each string without its digits and e's,
-    # followed by the "["s of its value; a text value or a literal leaves more.
-    # translate makes a buffer the size of its input, so it takes a block at a time
-    starts = range(0, len(data), _BLOCK_BYTES)
-    kept = b"".join(data[at : at + _BLOCK_BYTES].translate(None, _NUMBER_BYTES) for at in starts)
-    parts = kept.split(b'"')
-    names, brackets = parts[1::2], parts[2::2]
-    known = {key.encode().translate(None, _NUMBER_BYTES) for key in keys}
-    if parts[0] or not names or len(brackets) < len(names) or len(set(names)) < len(names):
+    the object itself and each value under ``matrices`` is a matrix of numbers."""
+    # a file whose only strings are its keys holds at most 2 len(keys) quotes
+    quotes = [data.find(b'"')]
+    while quotes[-1] >= 0 and len(quotes) <= 2 * len(keys):
+        quotes.append(data.find(b'"', quotes[-1] + 1))
+    quotes = [at for at in quotes if at >= 0]
+    names = [data[opened + 1 : closed] for opened, closed in zip(quotes[::2], quotes[1::2])]
+    if not names or len(quotes) > 2 * len(names):
         return None
-    if not known.issuperset(names) or any(run.strip(b"[") for run in brackets):
+    if len(set(names)) < len(names) or not {key.encode() for key in keys}.issuperset(names):
         return None
-    quotes, at = [], -1
-    for _ in range(2 * len(names)):
-        at = data.find(b'"', at + 1)
-        quotes.append(at)
     wanted = {key.encode() for key in matrices}
     view, pieces, arrays, done = memoryview(data), [], {}, 0
-    for index, run in enumerate(brackets):
-        opened, closed = quotes[2 * index], quotes[2 * index + 1]
-        last = index + 1 == len(brackets)
+    for index, name in enumerate(names):
+        closed = quotes[2 * index + 1]
+        last = index + 1 == len(names)
         following = len(data) if last else quotes[2 * index + 2]
         # a string is a key of the document when a ":" follows it and a "," comes
         # next before the next string (a "{" would make that one a nested key)
         stop = data.rfind(b"}" if last else b",", closed, following)
         if stop < 0 or _between(data, stop + 1, following) or data.find(b":", closed, stop) < 0:
             return None
-        name = data[opened + 1 : closed]
         if name not in wanted:
             continue
         # whatever lies outside the matrix text is checked by parsing the rest
         start, end = data.find(b"[", closed, stop), data.rfind(b"]", closed, stop) + 1
         if start < 0 or end <= start:
             return None
-        matrix = _read_rows(data, start, end, len(run) - 1)
+        # orjson reads true, false and null, which np.array would take as 1, 0 and nan;
+        # each holds a "u" or an "a", which no number does
+        if data.find(b"u", start, end) >= 0 or data.find(b"a", start, end) >= 0:
+            return None
+        matrix = _read_rows(data, start, end, data.count(b"[", start + 1, end))
         if matrix is None:
             return None
         arrays[name.decode()] = matrix
@@ -267,7 +273,8 @@ def _load_blocks(data, keys, matrices):
 def load_numeric(path, keys, matrices):
     """The JSON document in the file at ``path``, its values under
     ``matrices`` as float arrays read a block of rows at a time when the
-    file is an object of ``keys`` that holds numbers only; else ``load(path)``."""
+    file is an object whose only strings are distinct ``keys`` and whose
+    matrices hold numbers only; else ``load(path)``."""
     data = _read(path)
     doc = _load_blocks(data, keys, matrices)
     return _parse(data, path) if doc is None else doc

@@ -62,6 +62,14 @@ BOOL_ARRAYS = {
     "W_beta": [[True]],
     "mu": [False],
 }
+# null, which np.array would read as nan
+NULL_ARRAYS = {
+    "A": [[1.0], [None]],
+    "y": [1.0, None],
+    "W": [[1.0, 0.0], [0.0, None]],
+    "W_beta": [[None]],
+    "mu": [None],
+}
 # an integer beyond the double range, which the stdlib parser reads as a Python int
 HUGE_INT_ARRAYS = {
     "A": [[1.0], [10**400]],

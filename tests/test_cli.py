@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import warnings
 
@@ -11,6 +12,7 @@ from abicreg.selection import DEFAULT_BRACKET, DEFAULT_REL_TOL
 from conftest import (
     BOOL_ARRAYS,
     HUGE_INT_ARRAYS,
+    NULL_ARRAYS,
     NUMERIC_TEXT_ARRAYS,
     RAGGED_ARRAYS,
     TEXT_ARRAYS,
@@ -498,6 +500,27 @@ SUM_OVERFLOW = '{"A": [[1.2e154, 0.0], [0.0, 1.0], [0.0, 0.0]], "y": [1.0, 1.0, 
 TOP_BRACKET = "--bracket 300 308"
 # r^T E^-1 r at kappa = 1e308: 1 off range(A), d_2 = 1 and d_1 = 1 / (1 + 1.44)
 SUM_OVERFLOW_QUAD = 2.0 + 1.0 / 2.44
+# phillips 32 (sigma2 1e-4, seed 3) times 2^510: s_max = 1.95e154, whose square overflows,
+# and kappa_hat near 3.5e302, so the bracket is the default one shifted by 2 log10 2^510
+HUGE_SCALE_BRACKET = (292.0, 308.0)
+
+
+def _phillips_32(scale):
+    """Phillips 32 (sigma2 1e-4, seed 3) with A and y scaled by ``scale``."""
+    design, exact = ar.phillips_problem(32)
+    y, _ = ar.synthesize_observations(design, exact, 1e-4, seed=3)
+    return ar.InverseProblem(design.a_matrix * scale, y * scale)
+
+
+def _unscaled_kappa_hat_times(square):
+    """The zero-mean kappa_hat of the unscaled problem, bracket shifted to match, times ``square``."""
+    shift = math.log10(square)
+    bracket = (HUGE_SCALE_BRACKET[0] - shift, HUGE_SCALE_BRACKET[1] - shift)
+    return ar.select_case1(_phillips_32(1.0), ar.default_prior(32), bracket).kappa_hat * square
+
+
+_HUGE = _phillips_32(2.0**510)
+HUGE_SCALE = json.dumps({"A": _HUGE.a_matrix.tolist(), "y": _HUGE.y.tolist()})
 
 
 def _result(out):
@@ -580,6 +603,14 @@ FUZZ_CASES = [
         expect=lambda out: abs(_result(out)["estimate"]["beta_hat"][0])
         == pytest.approx(1.2 / 2.44 * 1e-154, rel=1e-14, abs=0.0),
     ),
+    # kappa_hat a^2 times the unscaled one; it read 6.1 times that while s^2 / kappa read inf
+    fuzz(
+        "select-kappa-huge-scale",
+        f"{SELECT} --bracket {HUGE_SCALE_BRACKET[0]} {HUGE_SCALE_BRACKET[1]}",
+        0,
+        HUGE_SCALE,
+        expect=lambda out: _result(out)["kappa_hat"] == pytest.approx(_unscaled_kappa_hat_times(2.0**1020), rel=1e-6),
+    ),
     # condition_estimate's RankDeficiencyWarning; the estimate itself reports the deficiency
     fuzz(
         "generate-rank-deficient",
@@ -627,6 +658,7 @@ FUZZ_CASES = [
             ("numeric-text", NUMERIC_TEXT_ARRAYS),
             ("bool", BOOL_ARRAYS),
             ("huge-int", HUGE_INT_ARRAYS),
+            ("null", NULL_ARRAYS),
         )
         for key in arrays
     ),
@@ -652,6 +684,8 @@ FUZZ_CASES = [
         3,
     ),
     fuzz("truth-text", BIAS_FILES, 2, truth='{"exact_solution": "abc"}'),
+    fuzz("truth-text-entry", BIAS_FILES, 2, truth='{"exact_solution": ["0.5"]}'),
+    fuzz("truth-bool-entry", BIAS_FILES, 2, truth='{"exact_solution": [true]}'),
     fuzz("truth-wrong-length", BIAS_FILES, 2, truth='{"exact_solution": [1.0, 2.0]}'),
     fuzz("truth-missing-key", BIAS_FILES, 2, truth="{}"),
     fuzz("truth-not-utf8", BIAS_FILES, 2, truth=b'{"exact_solution": [1.0]}\xff'),
@@ -705,6 +739,17 @@ class TestInProcessFuzz:
         if code:
             category = {2: "config", 3: "numeric", 4: "io"}[code]
             assert json.loads(stderr)["error"]["category"] == category
+
+    @pytest.mark.parametrize(
+        "entries", ['["0.5"]', "[true]", "[null]", "[1.0, 2.0]"], ids=["text", "bool", "null", "wrong-length"]
+    )
+    def test_truth_error_names_exact_solution(self, tmp_path, capsys, entries):
+        # a truth file is converted as strictly as a problem file's vectors
+        paths = {"problem": tmp_path / "problem.json", "truth": tmp_path / "truth.json"}
+        paths["problem"].write_text(json.dumps(GOOD_PROBLEM))
+        paths["truth"].write_text(f'{{"exact_solution": {entries}}}')
+        assert cli.main(BIAS_FILES.format(out=tmp_path / "out", **paths).split()) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["message"].startswith("exact_solution ")
 
 
 class TestConfigBytes:

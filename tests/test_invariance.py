@@ -12,7 +12,16 @@ two kappas must instead give the same objective to 12 digits.
 Square designs (n = t) are left out: there the Case 1 objective goes
 flat as kappa -> 0, because the n ln kappa of its two terms cancels, and
 rounding alone moves kappa_hat by orders of magnitude.
+
+Multiplying A by a power of two a and y by a power of two b multiplies
+E's kappa by a^2: the Case 1 kappa_hat moves by a^2 and sigma2_hat by
+b^2, the flag and ln_kappa_width stay, and the penalized solution at
+a^2 kappa is (b / a) times the one at kappa. That holds over the whole
+float range, where s^2 overflows (a = 2^510 on phillips, s_max = 1.95e154)
+or nears underflow (a = 2^-498).
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -88,3 +97,46 @@ def test_flat_minimum_moves_by_far_less_than_its_width():
     assert first.ln_kappa_width > 1e6 and second.ln_kappa_width > 1e6
     move = abs(np.log(second.kappa_hat / first.kappa_hat))
     assert move <= 1e-3 * min(first.ln_kappa_width, second.ln_kappa_width)
+
+
+# the largest and smallest a leave a shifted bracket inside the float range
+SCALE_BRACKET = (-7.0, 0.0)
+
+
+@st.composite
+def scalings(draw):
+    """(problem, k, j): a phillips or spectrum design with noisy y, and the exponents
+    of a = 2^k (one of the extremes half the time) and b = 2^j."""
+    if draw(st.booleans()):
+        design, exact = ar.phillips_problem(draw(st.sampled_from([8, 16, 32])))
+    else:
+        n = draw(st.integers(4, 24))
+        t = draw(st.integers(2, n - 1))
+        design, exact = ar.spectrum_problem(n, t, decay=draw(st.floats(0.5, 6.0)), seed=draw(st.integers(0, 99)))
+    sigma2 = 10.0 ** draw(st.floats(-6.0, -2.0))
+    y, _ = ar.synthesize_observations(design, exact, sigma2, seed=draw(st.integers(0, 99)))
+    k = draw(st.sampled_from([-498, 510, 511]) | st.integers(-498, 511))
+    return ar.InverseProblem(design.a_matrix, y), k, draw(st.integers(-400, 400))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(scalings())
+def test_powers_of_two_scale_the_selection(drawn):
+    problem, k, j = drawn
+    a, b = 2.0**k, 2.0**j
+    scaled = ar.InverseProblem(problem.a_matrix * a, problem.y * b)
+    prior = ar.default_prior(problem.t)
+    shift = 2 * k * math.log10(2.0)
+    first = ar.select_case1(problem, prior, SCALE_BRACKET)
+    second = ar.select_case1(scaled, prior, (SCALE_BRACKET[0] + shift, SCALE_BRACKET[1] + shift))
+    assert second.boundary_flag is first.boundary_flag
+    assert abs(second.kappa_hat / a / a / first.kappa_hat - 1.0) <= DEFAULT_REL_TOL
+    assert abs(second.sigma2_hat / b / b / first.sigma2_hat - 1.0) <= DEFAULT_REL_TOL
+    if first.ln_kappa_width is not None:
+        assert abs(second.ln_kappa_width / first.ln_kappa_width - 1.0) <= 1e-6
+    workspace = ar.MarginalWorkspace(problem)
+    solution = workspace.penalized_solution(problem.y, first.kappa_hat)
+    scaled_solution = ar.MarginalWorkspace(scaled).penalized_solution(scaled.y, first.kappa_hat * a * a)
+    cond = workspace.s[0] / workspace.s[-1]
+    error = np.linalg.norm(scaled_solution * (a / b) - solution)
+    assert error <= 10 * np.finfo(float).eps * cond * np.linalg.norm(solution)

@@ -711,3 +711,26 @@ class TestOverflowingSingularValues:
                 for got, want in zip((damping[k], complement[k], [logdet[k]]), exact):
                     for value, reference in zip(got, want):
                         assert float(abs(value - reference)) <= 4e-16 * float(abs(reference))
+
+    @pytest.mark.parametrize("s", [1.4e154, 1e160, 1e200, 1e300])
+    def test_filter_where_s2_overflows_matches_mpmath(self, s):
+        # s^2 itself passes the float range: s^2 / kappa is formed as s (s / kappa)
+        problem = ar.InverseProblem([[s, 0.0], [0.0, 1.0], [0.0, 0.0]], [1.0, 1.0, 1.0])
+        workspace = ar.MarginalWorkspace(problem)
+        kappas = np.array([1e12, 1e250, 1e300, 1e308])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            damping, complement, logdet = workspace._filter(kappas)
+        # d reads 0 only where it lies below the subnormal range (s = 1e200 and 1e300
+        # at kappa 1e12); a subnormal entry keeps a few units of its last place
+        floor = 4 * np.finfo(float).smallest_subnormal
+        with mp.workdps(50):
+            s2 = [mp.mpf(float(x)) ** 2 for x in workspace.s]
+            for k, kappa in enumerate(map(mp.mpf, kappas.tolist())):
+                exact = [
+                    [kappa / (x + kappa) for x in s2],
+                    [x / (x + kappa) for x in s2],
+                    [mp.fsum(mp.log1p(x / kappa) for x in s2)],
+                ]
+                for got, want in zip((damping[k], complement[k], [logdet[k]]), exact):
+                    for value, reference in zip(got, want):
+                        assert float(abs(value - reference)) <= 4e-16 * float(abs(reference)) + floor

@@ -13,6 +13,7 @@ from conftest import (
     BOOL_ARRAYS,
     GOOD_ARRAYS,
     HUGE_INT_ARRAYS,
+    NULL_ARRAYS,
     NUMERIC_TEXT_ARRAYS,
     RAGGED_ARRAYS,
     TEXT_ARRAYS,
@@ -512,6 +513,24 @@ class TestBlockReads:
         path.write_text(text)
         blocks, whole = load_both_ways(monkeypatch, path)
         assert isinstance(whole, (json.JSONDecodeError, ar.DimensionError, ar.DomainError)), whole
+        assert_same_load(blocks, whole)
+
+    @pytest.mark.parametrize("bad", [NULL_ARRAYS, BOOL_ARRAYS], ids=["null", "bool"])
+    @pytest.mark.parametrize("key", sorted(GOOD_ARRAYS))
+    def test_literal_entry_fails_as_before(self, tmp_path, monkeypatch, key, bad):
+        # orjson reads null, true and false, which np.array takes as nan, 1 and 0: a matrix
+        # holding one is parsed whole, and a vector holding one goes with the rest, whose
+        # parse gives the objects of the whole parse
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**GOOD_ARRAYS, key: bad[key]}))
+        taken = spy_block_path(monkeypatch)
+        blocks, whole = load_both_ways(monkeypatch, path)
+        assert taken == [key not in ("A", "W", "W_beta")]
+        name = {"A": "a_matrix", "W": "w", "W_beta": "w_beta"}.get(key, key)
+        if bad is NULL_ARRAYS:
+            assert isinstance(whole, ar.DomainError) and str(whole) == f"{name} has non-finite entries"
+        else:
+            assert isinstance(whole, ar.DimensionError) and str(whole).startswith(f"{name} is not a numeric array")
         assert_same_load(blocks, whole)
 
     @pytest.mark.parametrize("row", [0, 3, 7])
