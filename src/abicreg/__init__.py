@@ -4,155 +4,29 @@ The package solves ill-conditioned least squares problems through a
 Gaussian prior, scores hyperparameters by the marginal likelihood of the
 data, and quantifies what goes wrong when the prior mean is assumed zero
 out of convenience.
+
+A module's ``__all__`` is the one place a name is made public; the
+package re-exports each of those lists, in the order imported below.
 """
 
-from .errors import (
-    AbicregError,
-    DegenerateProblemError,
-    DimensionError,
-    DomainError,
-    EvaluationError,
-    FactorizationError,
-    RankDeficiencyWarning,
-    SingularMatrixError,
-)
-from .model import (
-    GroundTruth,
-    InverseProblem,
-    LoadedProblem,
-    PriorModel,
-    ProblemDesign,
-    ValidationCheck,
-    ValidationReport,
-    Weight,
-    as_weight,
-    condition_estimate,
-    default_prior,
-    load_problem,
-    save_problem,
-    validate_problem,
-)
-from .estimators import (
-    Estimate,
-    EstimatorMethod,
-    bayes_estimate,
-    log_joint_density,
-    ls_estimate,
-    regularized_estimate,
-)
-from .marginal import (
-    MarginalObjective,
-    MarginalOperators,
-    MarginalWorkspace,
-    ObjectiveCase,
-    ObjectiveValue,
-    SweepRow,
-    abic_case1,
-    abic_case2,
-    kappa_grid,
-    log_marginal_density,
-    marginal_covariance,
-    neg_log_lik_kappa,
-    neg_log_lik_variances,
-    sigma2_hat,
-    sweep_objective,
-    write_sweep_csv,
-)
-from .selection import (
-    BoundaryFlag,
-    ScalarMinimum,
-    SelectionResult,
-    minimize_scalar,
-    select_case1,
-    select_case2,
-)
-from .bias import (
-    BiasReport,
-    KappaStudyReport,
-    ModeSummary,
-    MuMode,
-    QuantileSummary,
-    expected_sigma2_terms,
-    mc_kappa_study,
-    mc_sigma2_study,
-    replicate_stream,
-)
-from .problems import (
-    GeneratorKind,
-    GeneratorSpec,
-    generate_problem,
-    phillips_problem,
-    spectrum_problem,
-    synthesize_observations,
-)
+from .errors import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .estimators import *  # noqa: F401,F403
+from .marginal import *  # noqa: F401,F403
+from .selection import *  # noqa: F401,F403
+from .bias import *  # noqa: F401,F403
+from .problems import *  # noqa: F401,F403
+from . import bias, errors, estimators, marginal, model, problems, selection
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "AbicregError",
-    "DegenerateProblemError",
-    "DimensionError",
-    "DomainError",
-    "EvaluationError",
-    "FactorizationError",
-    "RankDeficiencyWarning",
-    "SingularMatrixError",
-    "GroundTruth",
-    "InverseProblem",
-    "LoadedProblem",
-    "PriorModel",
-    "ProblemDesign",
-    "ValidationCheck",
-    "ValidationReport",
-    "Weight",
-    "as_weight",
-    "condition_estimate",
-    "default_prior",
-    "load_problem",
-    "save_problem",
-    "validate_problem",
-    "Estimate",
-    "EstimatorMethod",
-    "bayes_estimate",
-    "log_joint_density",
-    "ls_estimate",
-    "regularized_estimate",
-    "MarginalObjective",
-    "MarginalOperators",
-    "MarginalWorkspace",
-    "ObjectiveCase",
-    "ObjectiveValue",
-    "SweepRow",
-    "abic_case1",
-    "abic_case2",
-    "kappa_grid",
-    "log_marginal_density",
-    "marginal_covariance",
-    "neg_log_lik_kappa",
-    "neg_log_lik_variances",
-    "sigma2_hat",
-    "sweep_objective",
-    "write_sweep_csv",
-    "BoundaryFlag",
-    "ScalarMinimum",
-    "SelectionResult",
-    "minimize_scalar",
-    "select_case1",
-    "select_case2",
-    "BiasReport",
-    "KappaStudyReport",
-    "ModeSummary",
-    "MuMode",
-    "QuantileSummary",
-    "expected_sigma2_terms",
-    "mc_kappa_study",
-    "mc_sigma2_study",
-    "replicate_stream",
-    "GeneratorKind",
-    "GeneratorSpec",
-    "generate_problem",
-    "phillips_problem",
-    "spectrum_problem",
-    "synthesize_observations",
+    *errors.__all__,
+    *model.__all__,
+    *estimators.__all__,
+    *marginal.__all__,
+    *selection.__all__,
+    *bias.__all__,
+    *problems.__all__,
 ]

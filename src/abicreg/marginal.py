@@ -30,10 +30,11 @@ z = L_W^T r and c = U^T z:
 with the damping d = kappa / (s^2 + kappa). MarginalWorkspace._filter
 computes d, its complement e = s^2 / (s^2 + kappa) and ln det E, for every
 kappa a bracket admits; it is the one place either is written. Where
-s^2 + kappa passes the float range, d = 1 / (1 + s^2 / kappa) and
-e = 1 / (1 + kappa / s^2) there. Since d' = d e in ln kappa, the slope and
-the curvature of either objective in ln kappa follow from the same filter
-in O(t) (_reduce_slopes):
+s^2 + kappa passes the float range, which covers every s whose s^2 does,
+d = 1 / (1 + s (s / kappa)) and e = 1 / (1 + (kappa / s) / s) there, and
+where s^2 / kappa does, ln det E takes s (s / kappa) in its place. Since
+d' = d e in ln kappa, the slope and the curvature of either objective in
+ln kappa follow from the same filter in O(t) (_reduce_slopes):
 
     q'  = sum d e c^2,           (ln det E)'  = -sum e,
     q'' = sum d e (e - d) c^2,   (ln det E)'' =  sum d e.
@@ -195,9 +196,9 @@ class MarginalWorkspace:
     Q as its Householder reflectors, one per row of ``_reflectors``
     with its scale in ``_tau`` (none when n = t, where Q = I), and the
     SVD ``u_r``, ``s``, ``vt`` of the t x t triangle, with s^2 beside
-    it. U = Q[:, :t] U_R is never formed. Nothing that depends on kappa
-    is cached here. ``_huge`` indexes the columns where s^2 overflows
-    (s above about 1.34e154).
+    it (inf where s is above about 1.34e154; _filter reads s there).
+    U = Q[:, :t] U_R is never formed. Nothing that depends on kappa is
+    cached here.
 
     When n = t and the whitened design equals its transpose exactly
     (``np.array_equal``, O(t^2)), the SVD comes from ``np.linalg.eigh``
@@ -233,7 +234,6 @@ class MarginalWorkspace:
         self.u_r = np.asfortranarray(u_r)
         with np.errstate(over="ignore"):
             self.s2 = self.s * self.s
-        self._huge = np.flatnonzero(np.isinf(self.s2))
 
     def operators(self, kappa):
         check_positive_finite(kappa, "kappa")
@@ -243,30 +243,25 @@ class MarginalWorkspace:
         """(d, e, ln det E) at a 1-D array of K kappas, (K, t), (K, t) and (K,):
         the damping d = kappa / (s^2 + kappa) and its complement
         e = s^2 / (s^2 + kappa), never formed as 1 - d, whose relative error is
-        about eps / e. Where s^2 + kappa overflows they are 1 / (1 + s^2 / kappa)
-        and 1 / (1 + kappa / s^2). log1p(s^2 / kappa) is ln s^2 - ln kappa where
-        s^2 / kappa overflows; 1 is then below half an ulp of s^2 / kappa. In the
-        ``_huge`` columns, where s^2 itself overflows, s^2 / kappa is s (s / kappa),
-        kappa / s^2 is (kappa / s) / s, and ln s^2 is 2 ln s."""
+        about eps / e. Where s^2 + kappa overflows (so also where s^2 does) they
+        are 1 / (1 + s (s / kappa)) and 1 / (1 + (kappa / s) / s). Where s^2 / kappa
+        overflows, log1p(s^2 / kappa) is log1p(s (s / kappa)), or 2 ln s - ln kappa
+        where that product overflows too; 1 is then below half an ulp of it."""
         kappa = kappa[:, None]
-        with np.errstate(over="ignore"):
+        # e is inf / inf = nan where s^2 overflows until the second mask mends it
+        with np.errstate(over="ignore", invalid="ignore"):
             ratio = self.s2 / kappa
             total = self.s2 + kappa
-        terms = np.log1p(ratio)
-        rows, cols = np.nonzero(np.isinf(ratio))
-        terms[rows, cols] = np.log(self.s2[cols]) - np.log(kappa[rows, 0])
-        with np.errstate(invalid="ignore"):
+            terms = np.log1p(ratio)
+            rows, cols = np.nonzero(np.isinf(ratio))
+            s, k = self.s[cols], kappa[rows, 0]
+            product = s * (s / k)
+            terms[rows, cols] = np.where(np.isinf(product), 2.0 * np.log(s) - np.log(k), np.log1p(product))
             damping, complement = kappa / total, self.s2 / total
-        rows, cols = np.nonzero(np.isinf(total))
-        damping[rows, cols] = 1.0 / (1.0 + ratio[rows, cols])
-        complement[rows, cols] = 1.0 / (1.0 + kappa[rows, 0] / self.s2[cols])
-        if self._huge.size:
-            s = self.s[self._huge]
-            with np.errstate(over="ignore"):
-                ratio = s * (s / kappa)
-            damping[:, self._huge] = 1.0 / (1.0 + ratio)
-            complement[:, self._huge] = 1.0 / (1.0 + kappa / s / s)
-            terms[:, self._huge] = np.where(np.isinf(ratio), 2.0 * np.log(s) - np.log(kappa), np.log1p(ratio))
+            rows, cols = np.nonzero(np.isinf(total))
+            s, k = self.s[cols], kappa[rows, 0]
+            damping[rows, cols] = 1.0 / (1.0 + s * (s / k))
+            complement[rows, cols] = 1.0 / (1.0 + k / s / s)
         return damping, complement, terms.sum(axis=1) - self.w.logdet
 
     def penalized_solution(self, residual, kappa):

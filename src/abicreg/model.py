@@ -383,7 +383,7 @@ def _symmetry_check(weight, name):
     return ValidationCheck(
         f"{name}_symmetric",
         asym <= SYMMETRY_RTOL,
-        f"max relative asymmetry {asym:.3e} (tolerance 1e-12)",
+        f"max relative asymmetry {asym:.3e} (tolerance {SYMMETRY_RTOL:g})",
     )
 
 

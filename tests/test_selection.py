@@ -202,6 +202,32 @@ class TestNewtonRefinement:
         assert result.ln_kappa_width is None
         assert result.to_json()["ln_kappa_width"] is None
 
+    @pytest.mark.parametrize("kind", ["phillips32", "spectrum400x100"])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_width_is_mackays_error_bar(self, kind, seed):
+        # MacKay, "Bayesian interpolation" (1992): the error bar of ln alpha is
+        # sqrt(2 / gamma), gamma = sum e the number of well-determined parameters.
+        # Case 1 also concentrates out the noise precision, whose error bar adds
+        # 2 / (n - gamma). With a zero prior mean gamma lies in [19.4, 34.6] here,
+        # and the ratios measured 0.964-1.087 (Case 2) and 0.953-1.107 (Case 1).
+        # With the true mean gamma < 10, where the approximation no longer holds.
+        if kind == "phillips32":
+            (design, exact), sigma2 = ar.phillips_problem(32), 1e-4
+        else:
+            (design, exact), sigma2 = ar.spectrum_problem(400, 100, 6.0, seed), 1e-6
+        y, _ = ar.synthesize_observations(design, exact, sigma2, seed=seed)
+        problem, prior = design.with_observations(y), ar.default_prior(design.t)
+        workspace = ar.MarginalWorkspace(problem)
+        for case1 in (True, False):
+            if case1:
+                result = ar.select_case1(problem, prior)
+            else:
+                result = ar.select_case2(problem, prior, sigma2)
+            assert result.boundary_flag is ar.BoundaryFlag.INTERIOR
+            gamma = float(np.sum(workspace._filter(np.array([result.kappa_hat]))[1]))
+            bar = 2.0 / gamma + (2.0 / (problem.n - gamma) if case1 else 0.0)
+            assert 0.85 <= result.ln_kappa_width / math.sqrt(bar) <= 1.15, (case1, gamma)
+
 
 class TestSweepMatchesTrace:
     @pytest.mark.parametrize("mu_zero", [False, True])
