@@ -80,7 +80,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, check_positive_finite
+from .errors import DimensionError, DomainError, EvaluationError, check_positive_finite
 from .marginal import MarginalObjective, MarginalWorkspace
 from .selection import DEFAULT_BRACKET, DEFAULT_REL_TOL, BoundaryFlag, select_columns
 
@@ -169,8 +169,8 @@ def expected_sigma2_terms(design, ground_truth, sigma2, kappa, w_beta=None):
 
 
 def _truth_frame(design, w_beta, kappa):
-    """The view at kappa of a zero-observation workspace."""
-    return MarginalWorkspace(design.with_observations(np.zeros(design.n)), w_beta).operators(kappa)
+    """The view at kappa of the design's workspace."""
+    return MarginalWorkspace(design, w_beta).operators(kappa)
 
 
 def _sigma2_terms(ops, projected, sigma2):
@@ -445,9 +445,12 @@ def mc_kappa_study(
     if case not in (1, 2):
         raise DomainError(f"case must be 1 or 2, got {case}")
     check_positive_finite(sigma2, "sigma2")
+    # a length-1 ybar would broadcast against the noise block
+    if len(ground_truth.y_bar) != design.n:
+        raise DimensionError(f"y_bar has length {len(ground_truth.y_bar)}, expected {design.n}")
     eps = _noise_block(design, sigma2, seed, replicates)
     observations = ground_truth.y_bar[:, None] + eps
-    workspace = MarginalWorkspace(design.with_observations(ground_truth.y_bar), prior.w_beta)
+    workspace = MarginalWorkspace(design, prior.w_beta)
     known = None if case == 1 else sigma2
 
     def summary(mode, mode_prior):

@@ -66,13 +66,15 @@ whose condition number is the square of the whitened design's.
 No kappa needs a factorization, and once a residual is projected each
 kappa costs O(t).
 
-One workspace serves every residual of a design. Every residual reaches
-the spectral frame through MarginalWorkspace.project_rows: one reflector
-at a time, then U_R, each step an einsum along contiguous rows. r^T E^-1 r
-is reduced from (|z - U c|^2, c) by _reduce_quad alone, or by the grid's
-K x R outer product. So a residual rounds alike at any kappa and in any
-block: sigma2_hat at kappa_hat is the selection's own value, and a Monte
-Carlo replicate's that of its single selection, bit for bit.
+One workspace serves every residual of a design, and is built from the
+design alone. Every residual, of an objective or an estimate, enters the
+spectral frame through MarginalWorkspace.project_rows, the one map from
+rows to (|z - U c|^2, c), each step an einsum along contiguous rows;
+r^T E^-1 r is reduced from that pair by _reduce_quad, or by the grid's
+K x R product. So a residual rounds alike at any kappa and in any block:
+a Monte Carlo replicate's objective is its single selection's bit for bit,
+and so is sigma2_hat at kappa_hat wherever c^2 is finite (it squares c
+unscaled, where Case 1 first divides r by a power of two).
 
 MarginalWorkspace.operators(kappa) is the one view of E at a fixed kappa:
 MarginalOperators holds _filter's row at that kappa and reduces one
@@ -188,6 +190,9 @@ class MarginalOperators:
 class MarginalWorkspace:
     """Kappa-independent decomposition shared across objective evaluations.
 
+    ``problem`` may be a ProblemDesign, since only A, W, n and t are read;
+    ``residual`` and a MarginalObjective without observations read y.
+
     Holds the weights W and W_beta (whose Weights cache L_W, L_b and
     ln det W), and the factors of the whitened design
 
@@ -230,7 +235,7 @@ class MarginalWorkspace:
                 u_r, self.s, self.vt = np.linalg.svd(triangle)
         except np.linalg.LinAlgError as exc:
             raise FactorizationError(f"SVD of the whitened design failed: {exc}") from exc
-        # Fortran order makes U_R^T the C-ordered view that _split reduces along
+        # Fortran order makes U_R^T the C-ordered view that project_rows reduces along
         self.u_r = np.asfortranarray(u_r)
         with np.errstate(over="ignore"):
             self.s2 = self.s * self.s
@@ -281,7 +286,7 @@ class MarginalWorkspace:
                 f"whitened design is numerically rank deficient (condition ~ {condition:.3e})",
                 condition=condition,
             )
-        coef = self._split(np.asarray(residual, dtype=float)[None, :])[1][0]
+        coef = self.project_rows(np.asarray(residual, dtype=float)[None, :])[1][0]
         with np.errstate(over="ignore"):
             total = self.s2 + kappa
         gain = self.s / total
@@ -293,30 +298,19 @@ class MarginalWorkspace:
     def residual(self, prior):
         return self.problem.y - self.problem.a_matrix @ prior.mu
 
-    def _reflect(self, rows):
-        """Q^T z for each row z of an R x n block, in place: one reflector at a
-        time, its product with each row an einsum along the row. An overflow
-        gives inf or nan, as the reductions would."""
+    def project_rows(self, rows):
+        """(|z - U c|^2, c) with z = L_W^T r and c = U^T z = U_R^T (Q^T z)[:t] for each
+        row r of an R x n block, (R,) and (R, t): the package's one projection. Q^T z
+        is formed in place, one reflector at a time, and every sum runs along a row,
+        so each row rounds alike in any block and alone. |z - U c|^2 = |(Q^T z)[t:]|^2
+        never cancels. An overflow gives inf or nan, as the reductions would."""
+        z = self.w.mul_lower_rows(rows)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(len(self._tau)):
-                v, tail = self._reflectors[j, j:], rows[:, j:]
+                v, tail = self._reflectors[j, j:], z[:, j:]
                 tail -= np.multiply.outer(self._tau[j] * np.einsum("rn,n->r", tail, v), v)
-        return rows
-
-    def _split(self, rows):
-        """(Q^T z, c) with z = L_W^T r and c = U^T z = U_R^T (Q^T z)[:t] for each
-        row r of an R x n block, (R, n) and (R, t): the package's one projection.
-        (Q^T z)[t:] is z - U c in Q's frame."""
-        z = self._reflect(self.w.mul_lower_rows(rows))
-        return z, np.einsum("rk,ik->ri", z[:, : self.t], self.u_r.T)
-
-    def project_rows(self, rows):
-        """(|z - U c|^2, c) for each row r of an R x n block, (R,) and (R, t); each
-        row rounds alike in any block and alone, its reductions run along it.
-        |z - U c|^2 is |(Q^T z)[t:]|^2, the least-squares residual without cancellation."""
-        z, coef = self._split(rows)
         tail = z[:, self.t :]
-        return np.einsum("rn,rn->r", tail, tail), coef
+        return np.einsum("rn,rn->r", tail, tail), np.einsum("rk,ik->ri", z[:, : self.t], self.u_r.T)
 
 
 def _symmetric_svd(whitened):
@@ -428,10 +422,9 @@ class MarginalObjective:
             quad = _reduce_quad(self._perp[columns], damping, self._coef2[columns])
         return quad, logdet, self._total(quad, logdet)
 
-    def search_total(self, kappa, columns=None):
-        """The objective without ``offset`` at a 1-D array of K kappas: (K, R)
-        for every column, or (K,) for kappa[j] on column columns[j]."""
-        return self._terms(np.asarray(kappa, dtype=float), columns)[2]
+    def search_total(self, kappa):
+        """The objective without ``offset`` at a 1-D array of K kappas, (K, R)."""
+        return self._terms(np.asarray(kappa, dtype=float), None)[2]
 
     def search_slopes(self, kappa, columns):
         """(objective without ``offset``, f', f'') at kappa[j] on column columns[j],
@@ -444,7 +437,8 @@ class MarginalObjective:
         return self._total(quad, logdet), slope, curvature
 
     def __call__(self, kappa, columns=None):
-        """ObjectiveValue of arrays shaped as in ``search_total``."""
+        """ObjectiveValue at a 1-D array of K kappas: arrays of (K, R) for every
+        column, or of (K,) for kappa[j] on column columns[j]."""
         kappa = np.asarray(kappa, dtype=float)
         if not np.all((kappa > 0) & (kappa < math.inf)):
             raise DomainError(f"kappa must be positive and finite, got {kappa}")

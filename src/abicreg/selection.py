@@ -140,18 +140,18 @@ def _as_finite(values):
     return np.where(np.isfinite(values), values, np.inf)
 
 
-def _grid(objective, columns, log10_bracket, rel_tol):
+def _grid(objective, log10_bracket, rel_tol):
     """The grid stage of both searches: (log10 grid, kappas, (K, R) values,
     failed, grid argmin per column, boundary flags). ``objective`` works as
     MarginalObjective.search_total; grid ties break toward smaller kappa."""
     grid, kappas = kappa_grid(log10_bracket, GRID_POINTS)
     if not rel_tol > 0:
         raise DomainError(f"rel_tol must be positive, got {rel_tol}")
-    values = _as_finite(objective(kappas, None))
+    values = _as_finite(objective(kappas))
     failed = 2 * np.sum(np.isinf(values), axis=0) > GRID_POINTS
     # argmin takes the first minimal index: the smallest kappa among ties
     index = np.argmin(values, axis=0)
-    flags = np.full(columns, BoundaryFlag.INTERIOR)
+    flags = np.full(values.shape[1], BoundaryFlag.INTERIOR)
     flags[index == 0] = BoundaryFlag.LOWER_EDGE
     flags[index == GRID_POINTS - 1] = BoundaryFlag.UPPER_EDGE
     return grid, kappas, values, failed, index, flags
@@ -161,9 +161,7 @@ def _search(objective, log10_bracket, rel_tol):
     """Grid-then-Newton minimization of a MarginalObjective's R columns in lockstep,
     without its offset. An edge minimum is returned unrefined."""
     columns = objective.columns
-    grid, kappas, values, failed, index, flags = _grid(
-        objective.search_total, columns, log10_bracket, rel_tol
-    )
+    grid, kappas, values, failed, index, flags = _grid(objective.search_total, log10_bracket, rel_tol)
     best_log = grid[index]
     best_val = values[index, np.arange(columns)]
     best_curv = np.full(columns, np.nan)
@@ -208,10 +206,10 @@ def minimize_scalar(objective, log10_bracket=DEFAULT_BRACKET, rel_tol=DEFAULT_RE
     tolerance ``rel_tol`` on kappa. Returns a ScalarMinimum; raises
     EvaluationError when over half the grid is non-finite."""
 
-    def lifted(kappas, cols):
+    def lifted(kappas):
         return np.array([float(objective(kappa)) for kappa in kappas.tolist()])[:, None]
 
-    grid, kappas, values, failed, index, flags = _grid(lifted, 1, log10_bracket, rel_tol)
+    grid, kappas, values, failed, index, flags = _grid(lifted, log10_bracket, rel_tol)
     i = int(index[0])
     best_val, best_log = float(values[i, 0]), float(grid[i])
 

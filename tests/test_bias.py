@@ -159,6 +159,14 @@ class TestNonFiniteParameters:
             ar.mc_kappa_study(design, truth, prior, sigma2=value, replicates=100)
 
 
+def test_kappa_study_rejects_a_truth_of_another_length():
+    # a length-1 ybar broadcasts against the n x R noise block to a study of the wrong data
+    design, _, prior, truth = tiny_fixture()
+    short = ar.GroundTruth(truth.beta_bar, truth.y_bar[:1])
+    with pytest.raises(ar.DimensionError, match="y_bar has length 1, expected 2"):
+        ar.mc_kappa_study(design, short, prior, 1.0, replicates=100)
+
+
 class TestMcSigma2Study:
     def test_zero_mu_matches_formula_on_fixture(self):
         design, _, prior, truth = tiny_fixture()

@@ -533,8 +533,14 @@ def _top_sweep_row(out):
 
 
 def fuzz(case_id, argv, code, problem=None, truth='{"exact_solution": [1.0]}', expect=None):
-    """``expect(out)`` checks the outputs of a finished run."""
+    """``expect(out)`` checks the outputs of a finished run, ``expect(message)`` the
+    error message of a failed one."""
     return pytest.param(argv, problem or {}, truth, code, expect, id=case_id)
+
+
+def _says(text):
+    """An ``expect`` for a failed run whose error message contains ``text``."""
+    return lambda message: text in message
 
 
 FUZZ_CASES = [
@@ -543,6 +549,8 @@ FUZZ_CASES = [
     fuzz("bias-kappa-ok", f"{BIAS_GEN} --study kappa --sigma2 0.01", 0),
     fuzz("bias-files-ok", BIAS_FILES, 0),
     fuzz("generate-sigma2-zero", "generate --kind phillips --n 8 --sigma2 0 --out {out}", 0),
+    # a literal sends the file through the whole parse, where a null weight is the identity
+    fuzz("select-w-null", SELECT, 0, '{"A": [[1.0], [2.0]], "y": [1.0, 3.0], "W": null}'),
     fuzz(
         "sweep-lowest-bracket",
         f"sweep --problem {{problem}} --out {{out}} {LOWEST_BRACKET}",
@@ -663,6 +671,24 @@ FUZZ_CASES = [
         for key in arrays
     ),
     fuzz("mu-wrong-length", f"{SOLVE} bayes", 2, {"mu": [1.0, 2.0]}),
+    fuzz("select-mu-true-without-mu", f"{SELECT} --mu-mode true", 2, {"mu": None}, expect=_says("explicit mu")),
+    fuzz("select-case2-without-sigma2", f"{SELECT} --case 2", 2, {"sigma2": None}, expect=_says("case 2 needs")),
+    fuzz(
+        "solve-bayes-without-variances",
+        f"{SOLVE} bayes",
+        2,
+        {"sigma2": None, "sigma_beta2": None},
+        expect=_says("needs sigma2 and sigma_beta2"),
+    ),
+    fuzz("bias-sigma2-zero", f"{BIAS_GEN} --study sigma2 --sigma2 0 --kappa 1", 2, expect=_says("positive --sigma2")),
+    fuzz("bias-sigma2-without-kappa", f"{BIAS_GEN} --study sigma2 --sigma2 0.01", 2, expect=_says("requires --kappa")),
+    fuzz("sweep-one-point", f"{SWEEP} --points 1", 2, expect=_says("need at least 2 grid points, got 1")),
+    fuzz("a-vector", SELECT, 2, {"A": [1.0, 2.0]}, expect=_says("a_matrix must be 2-d")),
+    fuzz("a-empty-row", SELECT, 2, {"A": [[]]}, expect=_says("must be nonempty")),
+    fuzz("y-matrix", SELECT, 2, {"y": [[1.0], [2.0]]}, expect=_says("must be a 1-d vector")),
+    fuzz("mu-matrix", f"{SOLVE} bayes", 2, {"mu": [[0.0]]}, expect=_says("must be a 1-d vector")),
+    fuzz("truth-matrix", BIAS_FILES, 2, truth='{"exact_solution": [[1.0]]}', expect=_says("must be a 1-d vector")),
+    fuzz("w-not-square", SELECT, 2, {"W": [[1.0, 0.0]]}, expect=_says("must be a square matrix")),
     fuzz("y-nan", SELECT, 2, '{"A": [[1.0], [2.0]], "y": [NaN, 1.0]}'),
     fuzz("not-an-object", SELECT, 2, "[1.0]"),
     fuzz("not-json", SELECT, 2, "{A:"),
@@ -677,6 +703,12 @@ FUZZ_CASES = [
     fuzz("select-sigma2-subnormal", f"{SELECT} --case 2 --sigma2 1e-320", 3, PHILLIPS_8),
     fuzz("sweep-sigma2-subnormal", f"{SWEEP} --case 2 --sigma2 1e-320", 3, PHILLIPS_8),
     fuzz("bias-kappa-sigma2-subnormal", f"{BIAS_GEN} --study kappa --case 2 --sigma2 5e-324", 3),
+    # every s^2 overflows and so does c^2 in some columns, while d = kappa / s^2 reads 0
+    # up to kappa near 3e10: d c^2 is 0 times inf there and inf above, on the whole grid.
+    # An honest failure; 60-digit mpmath puts the minimum at 1.333e-4 (t sigma2 / |beta|^2).
+    # A mend that finds that kappa_hat turns each row into an exit 0 with an ``expect`` of it
+    fuzz("select-case2-huge-singular-values", f"{SELECT} --case 2 --sigma2 1e-4", 3, _scaled_phillips_8()),
+    fuzz("sweep-case2-huge-singular-values", f"{SWEEP} --case 2 --sigma2 1e-4", 3, _scaled_phillips_8()),
     # sigma2_hat / kappa_hat overflows at kappa_hat near 1e-300
     fuzz(
         "bias-kappa-sigma-beta2-overflow",
@@ -737,8 +769,10 @@ class TestInProcessFuzz:
             if expect is not None:
                 assert expect(tmp_path / "out")
         if code:
-            category = {2: "config", 3: "numeric", 4: "io"}[code]
-            assert json.loads(stderr)["error"]["category"] == category
+            error = json.loads(stderr)["error"]
+            assert error["category"] == {2: "config", 3: "numeric", 4: "io"}[code]
+            if expect is not None:
+                assert expect(error["message"]), error["message"]
 
     @pytest.mark.parametrize(
         "entries", ['["0.5"]', "[true]", "[null]", "[1.0, 2.0]"], ids=["text", "bool", "null", "wrong-length"]

@@ -91,6 +91,11 @@ class TestMarginalCovariance:
         cov = ar.marginal_covariance(problem, prior, 2.0, 0.0)
         assert_allclose(cov, np.linalg.inv(problem.w.to_array()) * 2.0, rtol=1e-10)
 
+    def test_negative_prior_variance_rejected(self):
+        _, problem, prior, _ = tiny_fixture()
+        with pytest.raises(ar.DomainError):
+            ar.marginal_covariance(problem, prior, 1.0, -1.0)
+
 
 def _dense_cofactor(problem, prior, kappa):
     """E = W^-1 + A W_beta^-1 A^T / kappa, assembled densely."""
@@ -478,6 +483,56 @@ class TestOneRoundingRule:
             ops = workspace.operators(kappa)
             for j in columns:
                 assert ops.quad_form(observations[:, j] - design.a_matrix @ prior.mu) == quad[j]
+
+    def test_every_route_enters_the_frame_through_project_rows(self, monkeypatch):
+        door, calls = ar.MarginalWorkspace.project_rows, []
+
+        def spy(workspace, rows):
+            calls.append(len(rows))
+            return door(workspace, rows)
+
+        monkeypatch.setattr(ar.MarginalWorkspace, "project_rows", spy)
+        design, exact = ar.phillips_problem(16)
+        y, _ = ar.synthesize_observations(design, exact, 1e-4, seed=1)
+        problem, prior = design.with_observations(y), ar.default_prior(16, mu=exact)
+        truth = ar.GroundTruth.from_design(design, exact)
+        routes = {
+            "select_case1": lambda: ar.select_case1(problem, prior),
+            "sweep_objective": lambda: ar.sweep_objective(problem, prior),
+            "sigma2_hat": lambda: ar.sigma2_hat(problem, prior, 1e-3),
+            "ls_estimate": lambda: ar.ls_estimate(problem),
+            "regularized_estimate": lambda: ar.regularized_estimate(problem, kappa=1e-3),
+            "bayes_estimate": lambda: ar.bayes_estimate(problem, prior, 1e-4, 0.1),
+            "expected_sigma2_terms": lambda: ar.expected_sigma2_terms(design, truth, 1e-4, 1e-3),
+            "mc_sigma2_study": lambda: ar.mc_sigma2_study(design, truth, prior, 1e-4, 1e-3, replicates=100),
+            "mc_kappa_study": lambda: ar.mc_kappa_study(design, truth, prior, 1e-4, replicates=100),
+        }
+        missed = []
+        for name, route in routes.items():
+            calls.clear()
+            route()
+            if not calls:
+                missed.append(name)
+        assert not missed
+
+    @pytest.mark.parametrize("kind", ["dense-w", "identity-w", "symmetric"])
+    def test_a_design_builds_its_problems_workspace_bit_for_bit(self, kind):
+        if kind == "symmetric":
+            problem, w_beta = _symmetric_fixture("phillips64"), None
+        else:
+            problem, w_beta = _tall_fixture(40, 8, seed=72, dense=kind == "dense-w")
+        # a Weight of its own, so that no cached factor is shared
+        design = ar.ProblemDesign(problem.a_matrix, problem.w.matrix)
+        built = [ar.MarginalWorkspace(source, w_beta) for source in (design, problem)]
+        for name in ("s", "vt", "u_r", "_reflectors", "_tau"):
+            assert np.array_equal(*(getattr(workspace, name) for workspace in built)), name
+        for kappa in (1e-6, 0.7, 1e6):
+            ops = [workspace.operators(kappa) for workspace in built]
+            for name in ("damping", "complement", "logdet"):
+                assert np.array_equal(*(getattr(view, name) for view in ops)), name
+        rows = np.random.default_rng(73).standard_normal((5, problem.n))
+        for left, right in zip(*(workspace.project_rows(rows) for workspace in built)):
+            assert np.array_equal(left, right)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import tracemalloc
 
@@ -211,6 +212,13 @@ class TestValidation:
         failed = {c.name for c in report.checks if not c.passed}
         assert "w_symmetric" in failed
 
+    def test_zero_weight_is_symmetric_but_not_definite(self):
+        problem = ar.InverseProblem([[1.0], [1.0]], [1.0, 2.0], w=np.zeros((2, 2)))
+        # the asymmetry of an all-zero matrix is 0, not 0 / 0 with a RuntimeWarning, which fails a test
+        report = ar.validate_problem(problem, ar.default_prior(1))
+        passed = {c.name: c.passed for c in report.checks}
+        assert passed["w_symmetric"] and not passed["w_positive_definite"]
+
     def test_report_json_shape(self):
         rng = np.random.default_rng(7)
         problem, prior = random_fixture(rng, 6, 2)
@@ -236,6 +244,11 @@ class TestConditionEstimate:
         with pytest.warns(ar.RankDeficiencyWarning):
             value = ar.condition_estimate(problem)
         assert value > 1e12
+
+    def test_zero_column_is_infinite(self):
+        problem = ar.InverseProblem([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], np.ones(3))
+        with pytest.warns(ar.RankDeficiencyWarning):
+            assert ar.condition_estimate(problem) == math.inf
 
 
 class TestGroundTruth:
